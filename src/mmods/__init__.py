@@ -5,7 +5,6 @@ vocabulary's integrity constraints, and materializes the triples its inference
 rules imply.
 """
 
-from ._backend import BACKEND
 from .axioms import (
     Constraint,
     ConstraintCatalog,
@@ -50,6 +49,9 @@ from .vocab import (
 )
 
 __version__ = "0.1.0"
+
+# Name of the triple store in use, for callers that record it; there is one.
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

@@ -1,8 +1,7 @@
-"""Pure Python triple-store core.
+"""The triple-store core: indexed id triples and rule saturation.
 
 Operates on interned integer term ids (the Graph layer owns the id <-> term
-mapping).  The compiled core in _core.pyx implements the identical interface;
-_backend picks one at import time.  The wildcard id is -1.
+mapping).  The wildcard id is -1.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Terms, triples, and the in-memory graph.
 
 A Graph has set semantics: adding a triple twice leaves one copy.  Terms are
-interned to integer ids so pattern matching runs on the backend core
-(compiled when available, pure Python otherwise).
+interned to integer ids so pattern matching runs on the id-level store in
+_core_py.
 
 canonicalize() produces a text form shared by exactly the graphs that are
 isomorphic under blank-node renaming, so graph comparison is string equality.
+canonical_triples() gives the same triples with the same blank labels, for
+writers that format them another way.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from ._backend import TripleStore, WILDCARD, saturate
+from ._core_py import WILDCARD, TripleStore, saturate
 
 
 class GraphError(ValueError):
@@ -298,7 +300,15 @@ def _refine(triples: list[Triple], blanks: list[BlankNode], colors: dict) -> dic
         colors = new
 
 
-def _canonical_doc(triples: list[Triple], blanks: list[BlankNode], colors: dict) -> str:
+def _relabel(t: Triple, names: dict) -> Triple:
+    o = names.get(t.o, t.o) if isinstance(t.o, BlankNode) else t.o
+    return Triple(names.get(t.s, t.s), t.p, o)
+
+
+def _canonical_doc(
+    triples: list[Triple], blanks: list[BlankNode], colors: dict
+) -> tuple[str, dict[BlankNode, BlankNode]]:
+    """The least canonical document and the blank -> cN map that produces it."""
     colors = _refine(triples, blanks, colors)
     groups: dict[str, list[BlankNode]] = {}
     for b in blanks:
@@ -307,17 +317,8 @@ def _canonical_doc(triples: list[Triple], blanks: list[BlankNode], colors: dict)
     if not tied:
         order = sorted(blanks, key=lambda b: colors[b])
         names = {b: BlankNode(f"c{i}") for i, b in enumerate(order)}
-        lines = sorted(
-            format_triple(
-                Triple(
-                    names.get(t.s, t.s),
-                    t.p,
-                    names.get(t.o, t.o) if isinstance(t.o, BlankNode) else t.o,
-                )
-            )
-            for t in triples
-        )
-        return "".join(line + "\n" for line in lines)
+        lines = sorted(format_triple(_relabel(t, names)) for t in triples)
+        return "".join(line + "\n" for line in lines), names
     # Symmetry remains: individuate each member of the first tied group in
     # turn and keep the least document produced.
     group = groups[tied[0]]
@@ -325,19 +326,31 @@ def _canonical_doc(triples: list[Triple], blanks: list[BlankNode], colors: dict)
     for b in sorted(group, key=lambda x: x.label):
         branched = dict(colors)
         branched[b] = "!" + colors[b]
-        doc = _canonical_doc(triples, blanks, branched)
-        if best is None or doc < best:
-            best = doc
+        found = _canonical_doc(triples, blanks, branched)
+        if best is None or found[0] < best[0]:
+            best = found
     return best
 
 
-def canonicalize(graph: Graph) -> str:
-    """Canonical N-Triples text: equal strings iff the graphs are isomorphic."""
+def _canonical(graph: Graph) -> tuple[list[Triple], str, dict[BlankNode, BlankNode]]:
+    """The graph's triples, its canonical text, and the blank labelling behind it."""
     triples = graph.triples()
     blanks = sorted(
         {term for t in triples for term in (t.s, t.o) if isinstance(term, BlankNode)},
         key=lambda b: b.label,
     )
     if not blanks:
-        return "".join(line + "\n" for line in sorted(format_triple(t) for t in triples))
-    return _canonical_doc(triples, blanks, {b: "" for b in blanks})
+        lines = sorted(format_triple(t) for t in triples)
+        return triples, "".join(line + "\n" for line in lines), {}
+    return (triples, *_canonical_doc(triples, blanks, {b: "" for b in blanks}))
+
+
+def canonicalize(graph: Graph) -> str:
+    """Canonical N-Triples text: equal strings iff the graphs are isomorphic."""
+    return _canonical(graph)[1]
+
+
+def canonical_triples(graph: Graph) -> list[Triple]:
+    """The graph's triples with blank nodes renamed as canonicalize names them."""
+    triples, _, names = _canonical(graph)
+    return [_relabel(t, names) for t in triples]

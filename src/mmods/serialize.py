@@ -21,6 +21,7 @@ from .graph import (
     Graph,
     Iri,
     Literal,
+    canonical_triples,
     canonicalize,
     escape_literal,
 )
@@ -253,11 +254,10 @@ def write_turtle(graph: Graph, registry) -> str:
         ("xsd", XSD_NS),
     ]
     lines = [f"@prefix {prefix}: <{namespace}> ." for prefix, namespace in prefixes]
-    canonical = read_ntriples(canonicalize(graph))
 
     by_subject: dict = {}
     order: list = []
-    for s, p, o in canonical.triples():
+    for s, p, o in canonical_triples(graph):
         key = _turtle_term(s, prefixes)
         if key not in by_subject:
             by_subject[key] = {}

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -100,6 +101,18 @@ class TestConvert:
         assert code == 0
         assert "<https://graphs.example/x/rec1/agent0>" in out
         assert "<https://graphs.example/x/Agent>" in out
+
+    def test_backslash_record_id_same_iris_in_turtle(self, capsys, tmp_path):
+        # Both writers print IRIs as stored; Turtle must not unescape them.
+        for record_id in ("r\\q", "r\\u0041"):
+            record = tmp_path / "backslash.xml"
+            record.write_text(f'<mods ID="{record_id}"><name><namePart>N</namePart></name></mods>')
+            minted = re.compile("<([^>]*/" + re.escape(record_id) + "/[^>]*)>")
+            nt_code, nt, _ = run(capsys, "convert", record, "--format", "nt")
+            ttl_code, ttl, err = run(capsys, "convert", record, "--format", "ttl")
+            assert (nt_code, ttl_code) == (0, 0)
+            assert "Traceback" not in err
+            assert set(minted.findall(ttl)) == set(minted.findall(nt)) != set()
 
     def test_env_base_iri(self, capsys, monkeypatch):
         monkeypatch.setenv("MMODS_BASE_IRI", "https://env.example/ns/")
