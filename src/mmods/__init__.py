@@ -23,7 +23,7 @@ from .graph import (
     instances_of,
 )
 from .inference import materialize
-from .mapping import MappingResult, map_record
+from .mapping import MappingError, MappingResult, map_record
 from .modsxml import (
     ModsDocument,
     ModsElement,
@@ -66,6 +66,7 @@ __all__ = [
     "GraphError",
     "Iri",
     "Literal",
+    "MappingError",
     "MappingResult",
     "ModsDocument",
     "ModsElement",

@@ -1,9 +1,9 @@
 """Command-line interface: convert, validate, infer, emit-ontology, vocab.
 
-Exit codes: 0 success, 1 parse failure, 2 I/O or usage failure,
-3 validation found errors, 4 unknown vocabulary name. Artifacts go to
-stdout (or --out), diagnostics to stderr. Same inputs and flags produce
-byte-identical output.
+Exit codes: 0 success, 1 parse failure (also a bad or repeated record ID),
+2 I/O or usage failure, 3 validation found errors, 4 unknown vocabulary
+name. Artifacts go to stdout (or --out), diagnostics to stderr. Same inputs
+and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from .axioms import catalog
 from .graph import BlankNode, Graph
 from .inference import materialize
-from .mapping import map_record
+from .mapping import MappingError, map_record
 from .modsxml import ModsParseError, parse_mods_xml
 from .serialize import (
     NTriplesError,
@@ -72,11 +72,17 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _parse_mods(path: str):
+def _map_mods(path: str, registry) -> Graph:
+    """The graph of a MODS file; mapping warnings go to stderr."""
     try:
-        return parse_mods_xml(_read_bytes(path), source=path)
+        result = map_record(parse_mods_xml(_read_bytes(path), source=path), registry)
     except ModsParseError as exc:
         raise _CliError(EXIT_PARSE, str(exc)) from exc
+    except MappingError as exc:
+        raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
+    for warning in result.warnings:
+        _warn(f"{path}: {warning}")
+    return result.graph
 
 
 def _read_graph_file(path: str) -> Graph:
@@ -113,13 +119,7 @@ def _serialize_graph(graph: Graph, registry, fmt: str) -> str:
 
 def _cmd_convert(args) -> int:
     registry = VocabularyRegistry(_base_iri(args))
-    graphs = []
-    for path in args.inputs:
-        document = _parse_mods(path)
-        result = map_record(document, registry)
-        for warning in result.warnings:
-            _warn(f"{path}: {warning}")
-        graphs.append(result.graph)
+    graphs = [_map_mods(path, registry) for path in args.inputs]
     _write_output(_serialize_graph(_merge(graphs), registry, args.format), args.out)
     return EXIT_OK
 
@@ -130,11 +130,7 @@ def _load_for_validation(path: str, args, registry) -> Graph:
         fmt = "nt" if path.endswith(".nt") else "xml"
     if fmt == "nt":
         return _read_graph_file(path)
-    document = _parse_mods(path)
-    result = map_record(document, registry)
-    for warning in result.warnings:
-        _warn(f"{path}: {warning}")
-    return result.graph
+    return _map_mods(path, registry)
 
 
 def _cmd_validate(args) -> int:

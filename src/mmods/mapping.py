@@ -2,8 +2,9 @@
 
 Each record becomes one item node; names, roles, affiliations, dates, and
 the shared attribute groups become typed nodes linked to it. Anything the
-mapping does not cover is reported as a warning, never an error, so a
-conversion always produces a graph.
+mapping does not cover is reported as a warning, never an error. The one
+error is a record ID that cannot name the record's nodes: one that is not
+valid IRI text, or one that repeats within the document.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .graph import RDF_TYPE, XSD_BOOLEAN, Graph, Iri, Literal
+from .graph import RDF_TYPE, XSD_BOOLEAN, Graph, GraphError, Iri, Literal
 from .modsxml import ModsDocument, ModsElement
 from .vocab import VocabularyRegistry
 
@@ -43,6 +44,10 @@ QUALIFIER_VALUES = {
 POINT_VALUES = {"start": "Start", "end": "End"}
 
 ENCODING_VALUES = {"w3cdtf": "W3cdtf", "iso8601": "Iso8601"}
+
+
+class MappingError(ValueError):
+    """A record ID that cannot name the record's nodes."""
 
 
 @dataclass
@@ -345,7 +350,9 @@ def map_record(document: ModsDocument, registry: VocabularyRegistry, base_iri=No
 
     Nodes are minted as IRIs under the record ID when the record carries
     one, otherwise as blank nodes. Equal affiliation strings share one
-    organization node across the whole document.
+    organization node across the whole document. Raises MappingError for
+    a record ID that is not valid IRI text or that an earlier record of
+    the document already carries (MODS types it xs:ID, unique per document).
     """
     if base_iri is None:
         base_iri = registry.base_iri
@@ -354,12 +361,22 @@ def map_record(document: ModsDocument, registry: VocabularyRegistry, base_iri=No
     graph = Graph()
     warnings: list[str] = []
     org_table: dict = {}
+    record_ids: set[str] = set()
     for record in document.records():
+        record_id = record.attrs.get("ID", "")
+        if record_id:
+            try:
+                Iri(record_id)  # the ID goes verbatim into the node IRIs
+            except GraphError:
+                raise MappingError(f"invalid record ID {record_id!r}") from None
+            if record_id in record_ids:
+                raise MappingError(f"duplicate record ID {record_id!r}")
+            record_ids.add(record_id)
         ctx = _RecordContext(
             graph=graph,
             registry=registry,
             base_iri=base_iri,
-            record_id=record.attrs.get("ID", ""),
+            record_id=record_id,
             warnings=warnings,
             org_table=org_table,
         )

@@ -91,9 +91,14 @@ class _LineParser:
                 if len(hexpart) != width:
                     raise self.error(f"truncated \\{code} escape in {what}")
                 try:
-                    out.append(chr(int(hexpart, 16)))
+                    point = int(hexpart, 16)
+                    char = chr(point)
                 except ValueError:
                     raise self.error(f"bad \\{code} escape {hexpart!r} in {what}") from None
+                if 0xD800 <= point <= 0xDFFF:
+                    # A surrogate is no character and cannot be written as UTF-8.
+                    raise self.error(f"surrogate \\{code} escape {hexpart!r} in {what}")
+                out.append(char)
                 i += 2 + width
             else:
                 raise self.error(f"unknown escape \\{code} in {what}")

@@ -5,6 +5,7 @@ the library's indexed lookups or its constraint checker, so agreement between
 the two is meaningful.
 """
 
+import hashlib
 import random
 from collections import Counter
 
@@ -12,10 +13,13 @@ from mmods.axioms import DatatypeFiller, VocabFiller
 from mmods.graph import (
     RDF_TYPE,
     XSD_BOOLEAN,
+    BlankNode,
     Graph,
     Iri,
     Literal,
+    Triple,
     format_term,
+    format_triple,
 )
 
 PROPERTY_WEIGHTS = (
@@ -232,3 +236,86 @@ def naive_materialize(graph, cat):
                     out.add(t.s, RDF_TYPE, sup)
                     changed = True
     return out
+
+
+def _blank_signature(t, focus, colors):
+    parts = []
+    for term in t:
+        if term == focus:
+            parts.append("~")
+        elif isinstance(term, BlankNode):
+            parts.append("?" + colors[term])
+        else:
+            parts.append(format_term(term))
+    return " ".join(parts)
+
+
+def _refine(triples, blanks, colors):
+    """Iterate neighborhood hashing until the blank-node partition stabilizes."""
+
+    def partition(cs):
+        groups = {}
+        for b in blanks:
+            groups.setdefault(cs[b], []).append(b.label)
+        return sorted(sorted(g) for g in groups.values())
+
+    occurrences = {b: [] for b in blanks}
+    for t in triples:
+        for term in (t.s, t.o):
+            if isinstance(term, BlankNode):
+                occurrences[term].append(t)
+
+    while True:
+        new = {}
+        for b in blanks:
+            sigs = sorted(_blank_signature(t, b, colors) for t in occurrences[b])
+            payload = colors[b] + "\x00" + "\x00".join(sigs)
+            new[b] = hashlib.sha256(payload.encode()).hexdigest()
+        if partition(new) == partition(colors):
+            return new
+        colors = new
+
+
+def _relabel(t, names):
+    o = names.get(t.o, t.o) if isinstance(t.o, BlankNode) else t.o
+    return Triple(names.get(t.s, t.s), t.p, o)
+
+
+def _exhaustive_doc(triples, blanks, colors):
+    colors = _refine(triples, blanks, colors)
+    groups = {}
+    for b in blanks:
+        groups.setdefault(colors[b], []).append(b)
+    tied = sorted(color for color, g in groups.items() if len(g) > 1)
+    if not tied:
+        order = sorted(blanks, key=lambda b: colors[b])
+        names = {b: BlankNode(f"c{i}") for i, b in enumerate(order)}
+        lines = sorted(format_triple(_relabel(t, names)) for t in triples)
+        return "".join(line + "\n" for line in lines)
+    # Individuate each member of the least tied class in turn; keep the least document.
+    best = None
+    for b in sorted(groups[tied[0]], key=lambda x: x.label):
+        branched = dict(colors)
+        branched[b] = "!" + colors[b]
+        found = _exhaustive_doc(triples, blanks, branched)
+        if best is None or found < best:
+            best = found
+    return best
+
+
+def canonicalize_exhaustive(graph):
+    """Canonical N-Triples text by colour refinement and an unpruned branch search.
+
+    Every member of every tied colour class is individuated and the least
+    leaf document wins, so the search takes time exponential in the
+    symmetry of the graph.  The library's canonicalize must return the
+    same text, byte for byte.
+    """
+    triples = graph.triples()
+    blanks = sorted(
+        {term for t in triples for term in (t.s, t.o) if isinstance(term, BlankNode)},
+        key=lambda b: b.label,
+    )
+    if not blanks:
+        return "".join(line + "\n" for line in sorted(format_triple(t) for t in triples))
+    return _exhaustive_doc(triples, blanks, {b: "" for b in blanks})

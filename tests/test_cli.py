@@ -3,6 +3,7 @@
 import json
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -113,6 +114,38 @@ class TestConvert:
             assert (nt_code, ttl_code) == (0, 0)
             assert "Traceback" not in err
             assert set(minted.findall(ttl)) == set(minted.findall(nt)) != set()
+
+    @pytest.mark.parametrize("command", ["convert", "validate"])
+    def test_invalid_record_id_exit_1(self, capsys, tmp_path, command):
+        record = tmp_path / "spaced.xml"
+        record.write_text('<mods ID="a b"><name><namePart>N</namePart></name></mods>')
+        code, out, err = run(capsys, command, record)
+        assert code == 1
+        assert not out
+        assert err == f"error: {record}: invalid record ID 'a b'\n"
+
+    @pytest.mark.parametrize("command", ["convert", "validate"])
+    def test_duplicate_record_id_exit_1(self, capsys, tmp_path, command):
+        # MODS types the record ID as xs:ID: two records must not share one.
+        record = tmp_path / "twice.xml"
+        record.write_text(
+            '<modsCollection><mods ID="r1"><name><namePart>A</namePart></name></mods>'
+            '<mods ID="r1"><name><namePart>B</namePart></name></mods></modsCollection>'
+        )
+        code, out, err = run(capsys, command, record)
+        assert code == 1
+        assert not out
+        assert err == f"error: {record}: duplicate record ID 'r1'\n"
+
+    def test_many_identical_names_finish_fast(self, capsys, tmp_path):
+        # Eight interchangeable blank name chains: 8! labellings without pruning.
+        record = tmp_path / "same.xml"
+        record.write_text("<mods>" + "<name><namePart>Same</namePart></name>" * 8 + "</mods>")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "convert", record, "--format", "nt")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert len(out.splitlines()) == 6 * 8 + 1
 
     def test_env_base_iri(self, capsys, monkeypatch):
         monkeypatch.setenv("MMODS_BASE_IRI", "https://env.example/ns/")
@@ -252,6 +285,25 @@ class TestInfer:
         bad.write_text("not ntriples\n")
         code, _, err = run(capsys, "infer", bad)
         assert code == 1
+
+    def test_surrogate_escape_exit_1(self, capsys, tmp_path):
+        bad = tmp_path / "surrogate.nt"
+        bad.write_text('<urn:s> <urn:p> "ok" .\n_:a <http://e.org/p> "\\uD800" .\n')
+        code, out, err = run(capsys, "infer", bad, "--format", "nt")
+        assert code == 1
+        assert not out
+        assert err.startswith(f"error: {bad}: line 2: ")
+
+    def test_blank_two_cycles_finish_fast(self, capsys, tmp_path):
+        graph = tmp_path / "cycles.nt"
+        graph.write_text(
+            "".join(f"_:a{i} <urn:p> _:b{i} .\n_:b{i} <urn:p> _:a{i} .\n" for i in range(6))
+        )
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "infer", graph, "--format", "nt")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert len(out.splitlines()) == 12
 
 
 class TestEmitOntology:

@@ -2,6 +2,8 @@
 
 Pattern matching is checked against a full scan and canonicalization against
 a brute-force bijection search, so the indexed paths never verify themselves.
+The pruned labelling search is checked byte for byte against the unpruned
+one in oracles.py, on random graphs and on graphs with many automorphisms.
 """
 
 import itertools
@@ -21,11 +23,15 @@ from mmods.graph import (
     Iri,
     Literal,
     Triple,
+    canonical_triples,
     canonicalize,
+    format_triple,
     instances_of,
     term_sort_key,
     triple_sort_key,
 )
+
+from oracles import canonicalize_exhaustive
 
 P = Iri("urn:p")
 Q = Iri("urn:q")
@@ -351,3 +357,159 @@ def test_canonical_text_round_trips_to_isomorphic_graph(g):
             return Literal(tok[1:-1])
         rebuilt.add(parse(parts[0]), parse(parts[1]), parse(parts[2]))
     assert canonicalize(rebuilt) == canonicalize(g)
+
+
+def name_chains(k):
+    """k interchangeable blank agent -> name -> name part chains, as mapping mints them."""
+    g = Graph()
+    for i in range(k):
+        agent, name, part = BlankNode(f"a{i}"), BlankNode(f"n{i}"), BlankNode(f"p{i}")
+        g.add(agent, RDF_TYPE, Iri("urn:Agent")).add(agent, Iri("urn:hasName"), name)
+        g.add(name, RDF_TYPE, Iri("urn:Name")).add(name, Iri("urn:hasNamePart"), part)
+        g.add(part, RDF_TYPE, Iri("urn:NamePart")).add(part, Iri("urn:hasValue"), Literal("Same"))
+    return g
+
+
+def cycles(lengths, undirected=False):
+    """Disjoint blank cycles over one predicate: every node looks alike to refinement."""
+    g = Graph()
+    for c, length in enumerate(lengths):
+        ring = [BlankNode(f"y{c}x{i}") for i in range(length)]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            g.add(a, P, b)
+            if undirected:
+                g.add(b, P, a)
+    return g
+
+
+def permutation_pair(first, second):
+    """Edges x -P-> first[x] and x -Q-> second[x]: one P and one Q edge at each end."""
+    g = Graph()
+    node = [BlankNode(f"z{x}") for x in range(len(first))]
+    for x, (y, z) in enumerate(zip(first, second)):
+        g.add(node[x], P, node[y]).add(node[x], Q, node[z])
+    return g
+
+
+def cube():
+    """The 3-cube: 8 blank corners, an edge each way between corners one bit apart."""
+    g = Graph()
+    for v in range(8):
+        for bit in (1, 2, 4):
+            g.add(BlankNode(f"v{v}"), P, BlankNode(f"v{v ^ bit}"))
+    return g
+
+
+# Neighbour offsets on the 4x4 torus.
+SRG_STEPS = {
+    "rook": [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)],
+    "shrikhande": [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)],
+}
+
+
+def strongly_regular(*names):
+    """Disjoint copies of the 4x4 rook's graph ("rook") or the Shrikhande graph.
+
+    Both are strongly regular with parameters (16, 6, 2, 2), so colour
+    refinement cannot tell their nodes apart, even with one node individuated.
+    """
+    g = Graph()
+    for c, name in enumerate(names):
+        for (a, b), (i, j) in itertools.product(
+            itertools.product(range(4), repeat=2), SRG_STEPS[name]
+        ):
+            g.add(BlankNode(f"g{c}n{a}{b}"), P, BlankNode(f"g{c}n{(a + i) % 4}{(b + j) % 4}"))
+    return g
+
+
+SYMMETRIC = st.one_of(
+    st.integers(1, 4).map(name_chains),
+    st.integers(1, 4).map(lambda k: cycles([2] * k)),
+    st.tuples(st.integers(1, 6), st.integers(1, 2)).map(lambda lc: cycles([lc[0]] * lc[1])),
+    st.tuples(st.integers(3, 6), st.integers(1, 2)).map(lambda lc: cycles([lc[0]] * lc[1], True)),
+    st.just(cube()),
+    st.lists(st.integers(2, 5), min_size=2, max_size=3).map(cycles),
+    st.lists(st.integers(3, 4), min_size=2, max_size=2).map(lambda ls: cycles(ls, True)),
+    st.integers(3, 7).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+    ).map(lambda pair: permutation_pair(*pair)),
+)
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """A symmetric family member, relabelled, with a few extra edges or none."""
+    g = relabeled_shuffled(draw(SYMMETRIC), draw(st.integers(0, 10_000)))
+    blanks = blanks_of(g.triples())
+    for _ in range(draw(st.integers(0, 2))):
+        g.add(draw(st.sampled_from(blanks)), Q, draw(st.sampled_from(blanks + [A])))
+    return g
+
+
+@st.composite
+def random_graphs(draw):
+    """Up to 6 blank nodes with self-loops, literals and IRIs, from two predicates."""
+    nodes = [BlankNode(f"r{i}") for i in range(draw(st.integers(1, 6)))] + [A]
+    objects = nodes + [Literal("1"), Literal("1", lang="en"), Literal("1", XSD_BOOLEAN)]
+    g = Graph()
+    for _ in range(draw(st.integers(1, 14))):
+        s, p = draw(st.sampled_from(nodes)), draw(st.sampled_from([P, Q]))
+        g.add(s, p, draw(st.sampled_from(objects)))
+    return g
+
+
+class TestPrunedSearchMatchesExhaustive:
+    @settings(max_examples=150, deadline=None)
+    @given(g=random_graphs())
+    def test_random_graphs(self, g):
+        assert canonicalize(g) == canonicalize_exhaustive(g)
+
+    @settings(max_examples=120, deadline=None)
+    @given(g=symmetric_graphs())
+    def test_symmetric_families(self, g):
+        assert canonicalize(g) == canonicalize_exhaustive(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            name_chains(4),
+            cycles([2, 2, 2, 2]),
+            cycles([6]),
+            cycles([5, 5], undirected=True),
+            cube(),
+            cycles([3, 3, 3]),
+            # Two P 2-cycles across one Q 4-cycle: a leaf equal to the first
+            # must return to where the paths part, not one level higher.
+            permutation_pair([2, 3, 0, 1], [3, 2, 0, 1]),
+        ],
+        ids=[
+            "4-name-chains",
+            "4-two-cycles",
+            "6-cycle",
+            "two-5-rings",
+            "3-cube",
+            "three-3-cycles",
+            "2-cycles-across-4-cycle",
+        ],
+    )
+    def test_largest_family_members(self, g):
+        assert canonicalize(g) == canonicalize_exhaustive(g)
+
+    def test_refinement_blind_components(self):
+        # A searched sibling's colours match here without an automorphism
+        # behind them, so pruning on colours alone would make the text
+        # depend on the input's blank labels.
+        mixed = strongly_regular("rook", "shrikhande")
+        text = canonicalize(mixed)
+        for seed in range(12):
+            assert canonicalize(relabeled_shuffled(mixed, seed)) == text
+        assert text != canonicalize(strongly_regular("rook", "rook"))
+        assert text != canonicalize(strongly_regular("shrikhande", "shrikhande"))
+
+    def test_canonical_triples_carry_the_document_labels(self):
+        g = relabeled_shuffled(name_chains(3).add(A, P, BlankNode("a1")), 5)
+        relabeled = Graph()
+        for t in canonical_triples(g):
+            relabeled.add(*t)
+        lines = sorted(format_triple(t) for t in relabeled.triples())
+        assert "".join(line + "\n" for line in lines) == canonicalize(g)

@@ -7,7 +7,7 @@ import pytest
 from mmods.axioms import catalog
 from mmods.graph import RDF_TYPE, XSD_BOOLEAN, BlankNode, Iri, Literal, canonicalize, instances_of
 from mmods.inference import materialize
-from mmods.mapping import map_record
+from mmods.mapping import MappingError, map_record
 from mmods.modsxml import parse_mods_xml
 from mmods.validate import validate
 from mmods.vocab import VocabularyRegistry
@@ -55,6 +55,16 @@ class TestRecordShape:
         result = convert("personal.xml", reg)
         item = Iri(reg.base_iri + "rec1/item0")
         assert result.graph.match(item, RDF_TYPE, reg.cls("ModsItem"))
+
+    @pytest.mark.parametrize("raw, record_id", [("a b", "a b"), ("r&gt;1", "r>1")])
+    def test_record_id_unusable_in_an_iri_rejected(self, reg, raw, record_id):
+        with pytest.raises(MappingError, match=f"invalid record ID {record_id!r}"):
+            convert(f'<mods ID="{raw}"/>', reg)
+
+    def test_duplicate_record_id_rejected(self, reg):
+        text = '<modsCollection><mods ID="r1"/><mods ID="s1"/><mods ID="r1"/></modsCollection>'
+        with pytest.raises(MappingError, match="duplicate record ID 'r1'"):
+            convert(text, reg)
 
     def test_no_record_id_mints_blanks(self, reg):
         result = convert("conference.xml", reg)

@@ -139,6 +139,18 @@ class TestReadNTriples:
         with pytest.raises(NTriplesError):
             read_ntriples('<urn:s> <urn:p> "\\u00e" .\n')
 
+    @pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\uD83D\\uDE00", "\\U0000DC00"])
+    def test_surrogate_escape_rejected(self, escape):
+        # Surrogates are not characters; no writer could encode them.
+        for line in (f'_:a <urn:p> "{escape}" .', f"<urn:s{escape}> <urn:p> <urn:o> ."):
+            with pytest.raises(NTriplesError) as err:
+                read_ntriples("<urn:s> <urn:p> <urn:o> .\n" + line + "\n")
+            assert "line 2" in str(err.value)
+
+    def test_escapes_next_to_surrogates_accepted(self):
+        g = read_ntriples('<urn:s> <urn:p> "\\uD7FF\\uE000" .\n')
+        assert g.triples()[0].o.lexical == "\uD7FF\uE000"
+
     def test_literal_subject_rejected(self):
         with pytest.raises(NTriplesError):
             read_ntriples('"s" <urn:p> <urn:o> .\n')
