@@ -9,6 +9,7 @@ and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -269,9 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main() reuses one parser, built on its first call rather than at import.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

@@ -21,6 +21,7 @@ the unpruned search (tests/oracles.py keeps that search as a reference).
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -36,6 +37,11 @@ RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 
+# "\s" matches exactly the characters for which str.isspace() is true.
+_WHITESPACE = re.compile(r"\s")
+_NOT_IRI_TEXT = re.compile(r"[\s<>]")
+_NOT_BLANK_LABEL = re.compile(r"[\s:]")
+
 
 @dataclass(frozen=True)
 class Iri:
@@ -46,7 +52,7 @@ class Iri:
     def __post_init__(self):
         if not self.value:
             raise GraphError("empty IRI")
-        if any(ch.isspace() for ch in self.value) or "<" in self.value or ">" in self.value:
+        if _NOT_IRI_TEXT.search(self.value):
             raise GraphError(f"invalid IRI: {self.value!r}")
 
 
@@ -57,7 +63,7 @@ class BlankNode:
     label: str
 
     def __post_init__(self):
-        if not self.label or any(ch.isspace() for ch in self.label) or ":" in self.label:
+        if not self.label or _NOT_BLANK_LABEL.search(self.label):
             raise GraphError(f"invalid blank node label: {self.label!r}")
 
 
@@ -83,7 +89,7 @@ class Literal:
 
     def __post_init__(self):
         if self.lang is not None:
-            if not self.lang or any(ch.isspace() for ch in self.lang):
+            if not self.lang or _WHITESPACE.search(self.lang):
                 raise GraphError(f"invalid language tag: {self.lang!r}")
             object.__setattr__(self, "datatype", RDF_LANGSTRING)
         elif self.datatype == RDF_LANGSTRING:

@@ -4,11 +4,19 @@ Three output formats: N-Triples (canonical, sorted, round-trippable),
 Turtle (prefixed, grouped, no sugar beyond predicate and object lists),
 and a JSON validation-report document. One reader: N-Triples, for
 round-trip testing and graph-file inputs.
+
+The reader walks each line with one precompiled pattern per term (subject,
+predicate, object with its datatype or language tag, and the line end),
+each matched at the current position. A term without a backslash is used
+as written; only one with an escape goes through the decoder. A cache local
+to one read_ntriples call maps each token's text to its term, so every
+distinct IRI, blank node and literal is decoded and checked once.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .graph import (
     OWL_NS,
@@ -49,169 +57,165 @@ _ESCAPES = {
     "'": "'",
     "\\": "\\",
 }
+_HEX = re.compile(r"[0-9A-Fa-f]*")
+
+# Term patterns, matched at a position in one line.  An IRI is everything up
+# to the first ">" (its text is checked by Iri); a blank label is a run of
+# _LABEL_CHAR and "." that does not end in "."; a literal body runs to the
+# first '"' not taken by a backslash escape; a language tag is a run of
+# _TAG_CHAR.  Spaces and tabs separate terms.
+_LABEL_CHAR = r"[\w-]"  # str.isalnum(), "_" or "-"
+_TAG_CHAR = r"(?:[^\W_]|-)"  # str.isalnum() or "-"
+_IRI_SRC = r"<[^>]*>"
+_BLANK_SRC = rf"_:(?:\.*{_LABEL_CHAR})*"
+_SUBJECT = re.compile(rf"[ \t]*({_IRI_SRC}|{_BLANK_SRC})[ \t]*")
+_PREDICATE = re.compile(rf"({_IRI_SRC})[ \t]*")
+_OBJECT = re.compile(
+    rf'{_IRI_SRC}|{_BLANK_SRC}|"([^"\\]*(?:\\.[^"\\]*)*)"(?:\^\^({_IRI_SRC})?|@({_TAG_CHAR}*))?',
+    re.DOTALL,
+)
+_END = re.compile(r"[ \t]*\.[ \t]*(?:#|\Z)")
+_SPACES = re.compile(r"[ \t]*")
 
 
-class _LineParser:
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
-
-    def error(self, message: str) -> NTriplesError:
-        return NTriplesError(f"line {self.line_no}: {message}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _unescape(self, raw: str, what: str) -> str:
-        out = []
-        i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch != "\\":
-                out.append(ch)
-                i += 1
-                continue
-            if i + 1 >= len(raw):
-                raise self.error(f"dangling escape in {what}")
-            code = raw[i + 1]
-            if code in _ESCAPES:
-                out.append(_ESCAPES[code])
-                i += 2
-            elif code in ("u", "U"):
-                width = 4 if code == "u" else 8
-                hexpart = raw[i + 2 : i + 2 + width]
-                if len(hexpart) != width:
-                    raise self.error(f"truncated \\{code} escape in {what}")
-                try:
-                    point = int(hexpart, 16)
-                    char = chr(point)
-                except ValueError:
-                    raise self.error(f"bad \\{code} escape {hexpart!r} in {what}") from None
-                if 0xD800 <= point <= 0xDFFF:
-                    # A surrogate is no character and cannot be written as UTF-8.
-                    raise self.error(f"surrogate \\{code} escape {hexpart!r} in {what}")
-                out.append(char)
-                i += 2 + width
-            else:
-                raise self.error(f"unknown escape \\{code} in {what}")
-        return "".join(out)
-
-    def read_iri(self) -> Iri:
-        if self.peek() != "<":
-            raise self.error(f"expected IRI, found {self.peek()!r}")
-        end = self.text.find(">", self.pos + 1)
-        if end == -1:
-            raise self.error("unterminated IRI")
-        raw = self.text[self.pos + 1 : end]
-        self.pos = end + 1
-        try:
-            return Iri(self._unescape(raw, "IRI"))
-        except NTriplesError:
-            raise
-        except ValueError as exc:
-            raise self.error(str(exc)) from exc
-
-    def read_blank(self) -> BlankNode:
-        if not self.text.startswith("_:", self.pos):
-            raise self.error("expected blank node label")
-        start = self.pos + 2
-        end = start
-        while end < len(self.text) and (self.text[end].isalnum() or self.text[end] in "_-."):
-            end += 1
-        while end > start and self.text[end - 1] == ".":
-            end -= 1
-        if end == start:
-            raise self.error("empty blank node label")
-        label = self.text[start:end]
-        self.pos = end
-        return BlankNode(label)
-
-    def read_literal(self) -> Literal:
-        if self.peek() != '"':
-            raise self.error(f"expected literal, found {self.peek()!r}")
-        i = self.pos + 1
-        while i < len(self.text):
-            if self.text[i] == "\\":
-                i += 2
-                continue
-            if self.text[i] == '"':
-                break
-            i += 1
+def _unescape(raw: str, what: str) -> str:
+    """Decode the backslash escapes of an IRI or literal body."""
+    out = []
+    done = 0
+    i = raw.find("\\")
+    while i != -1:
+        out.append(raw[done:i])
+        code = raw[i + 1 : i + 2]
+        if not code:
+            raise NTriplesError(f"dangling escape in {what}")
+        if code in _ESCAPES:
+            out.append(_ESCAPES[code])
+            done = i + 2
+        elif code in ("u", "U"):
+            width = 4 if code == "u" else 8
+            hexpart = raw[i + 2 : i + 2 + width]
+            if len(hexpart) != width:
+                raise NTriplesError(f"truncated \\{code} escape in {what}")
+            point = int(hexpart, 16) if _HEX.fullmatch(hexpart) else -1
+            if not 0 <= point <= 0x10FFFF:
+                raise NTriplesError(f"bad \\{code} escape {hexpart!r} in {what}")
+            if 0xD800 <= point <= 0xDFFF:
+                # A surrogate is no character and cannot be written as UTF-8.
+                raise NTriplesError(f"surrogate \\{code} escape {hexpart!r} in {what}")
+            out.append(chr(point))
+            done = i + 2 + width
         else:
-            raise self.error("unterminated literal")
-        if i >= len(self.text):
-            raise self.error("unterminated literal")
-        lexical = self._unescape(self.text[self.pos + 1 : i], "literal")
-        self.pos = i + 1
-        if self.text.startswith("^^", self.pos):
-            self.pos += 2
-            datatype = self.read_iri()
-            if datatype == RDF_LANGSTRING:
-                raise self.error("language string literal requires a language tag")
-            return Literal(lexical, datatype)
-        if self.peek() == "@":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "-"
-            ):
-                self.pos += 1
-            tag = self.text[start : self.pos]
-            if not tag:
-                raise self.error("empty language tag")
-            return Literal(lexical, lang=tag)
-        return Literal(lexical, XSD_STRING)
+            raise NTriplesError(f"unknown escape \\{code} in {what}")
+        i = raw.find("\\", done)
+    out.append(raw[done:])
+    return "".join(out)
 
-    def read_subject(self):
-        if self.peek() == "<":
-            return self.read_iri()
-        return self.read_blank()
 
-    def read_object(self):
-        ch = self.peek()
-        if ch == "<":
-            return self.read_iri()
-        if ch == '"':
-            return self.read_literal()
-        return self.read_blank()
+def _node(token: str):
+    """The Iri of an "<...>" token or the BlankNode of a "_:..." token."""
+    if token[0] == "<":
+        raw = token[1:-1]
+        return Iri(_unescape(raw, "IRI") if "\\" in raw else raw)
+    if len(token) == 2:
+        raise NTriplesError("empty blank node label")
+    return BlankNode(token[2:])
+
+
+def _literal(match, cache: dict) -> Literal:
+    """The Literal of an _OBJECT match on a literal token."""
+    body, datatype, lang = match.group(1, 2, 3)
+    lexical = _unescape(body, "literal") if "\\" in body else body
+    if datatype is not None:
+        iri = cache.get(datatype)
+        if iri is None:
+            iri = cache[datatype] = _node(datatype)
+        if iri == RDF_LANGSTRING:
+            raise NTriplesError("language string literal requires a language tag")
+        return Literal(lexical, iri)
+    if lang is not None:
+        if not lang:
+            raise NTriplesError("empty language tag")
+        return Literal(lexical, lang=lang)
+    if match.group().endswith("^^"):
+        raise _expected_iri(match.string, match.end())
+    return Literal(lexical, XSD_STRING)
+
+
+def _expected_iri(line: str, pos: int) -> NTriplesError:
+    found = line[pos : pos + 1]
+    if found != "<":
+        return NTriplesError(f"expected IRI, found {found!r}")
+    return NTriplesError("unterminated IRI")
+
+
+def _bad_object(line: str, pos: int) -> NTriplesError:
+    """The error for an object at pos that _OBJECT does not match."""
+    found = line[pos : pos + 1]
+    if found == "<":
+        return NTriplesError("unterminated IRI")
+    if found == '"':
+        return NTriplesError("unterminated literal")
+    return NTriplesError("expected blank node label")
 
 
 def read_ntriples(text: str) -> Graph:
     """Parse N-Triples text into a fresh graph (set semantics).
 
-    Blank node labels are kept as local labels. Raises NTriplesError
-    with the line number on the first syntax error.
+    Blank node labels are kept as local labels.  Lines end at "\\n"; "\\r"
+    just before a line end is part of it.  Raises NTriplesError with the
+    line number on the first syntax error.
     """
     graph = Graph()
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        parser = _LineParser(line, line_no)
-        parser.skip_ws()
-        if parser.at_end() or parser.peek() == "#":
-            continue
-        subject = parser.read_subject()
-        parser.skip_ws()
-        predicate = parser.read_iri()
-        parser.skip_ws()
-        obj = parser.read_object()
-        parser.skip_ws()
-        if parser.peek() != ".":
-            raise parser.error("expected '.' at end of triple")
-        parser.pos += 1
-        parser.skip_ws()
-        if not parser.at_end() and parser.peek() != "#":
-            raise parser.error("unexpected text after '.'")
-        try:
-            graph.add(subject, predicate, obj)
-        except ValueError as exc:
-            raise NTriplesError(f"line {line_no}: {exc}") from exc
+    add = graph.add
+    # Token text -> term, for every token read so far; each distinct term
+    # is decoded and checked once per call.
+    cache: dict = {}
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    line_no = 0
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            m = _SUBJECT.match(line)
+            if m is None:
+                pos = _SPACES.match(line).end()
+                if pos == len(line) or line[pos] == "#":
+                    continue
+                if line[pos] == "<":
+                    raise NTriplesError("unterminated IRI")
+                raise NTriplesError("expected blank node label")
+            token = m.group(1)
+            subject = cache.get(token)
+            if subject is None:
+                subject = cache[token] = _node(token)
+
+            pos = m.end()
+            m = _PREDICATE.match(line, pos)
+            if m is None:
+                raise _expected_iri(line, pos)
+            token = m.group(1)
+            predicate = cache.get(token)
+            if predicate is None:
+                predicate = cache[token] = _node(token)
+
+            pos = m.end()
+            m = _OBJECT.match(line, pos)
+            if m is None:
+                raise _bad_object(line, pos)
+            token = m.group()
+            obj = cache.get(token)
+            if obj is None:
+                obj = cache[token] = _node(token) if token[0] != '"' else _literal(m, cache)
+
+            pos = m.end()
+            if _END.match(line, pos) is None:
+                pos = _SPACES.match(line, pos).end()
+                if line[pos : pos + 1] != ".":
+                    raise NTriplesError("expected '.' at end of triple")
+                raise NTriplesError("unexpected text after '.'")
+            add(subject, predicate, obj)
+    except ValueError as exc:
+        raise NTriplesError(f"line {line_no}: {exc}") from exc
     return graph
 
 

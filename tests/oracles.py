@@ -2,7 +2,8 @@
 
 Everything here works by plain scans over the raw triple list, never through
 the library's indexed lookups or its constraint checker, so agreement between
-the two is meaningful.
+the two is meaningful.  The N-Triples reference reader scans its input one
+character at a time, with none of the library reader's patterns or cache.
 """
 
 import hashlib
@@ -11,8 +12,10 @@ from collections import Counter
 
 from mmods.axioms import DatatypeFiller, VocabFiller
 from mmods.graph import (
+    RDF_LANGSTRING,
     RDF_TYPE,
     XSD_BOOLEAN,
+    XSD_STRING,
     BlankNode,
     Graph,
     Iri,
@@ -21,6 +24,7 @@ from mmods.graph import (
     format_term,
     format_triple,
 )
+from mmods.serialize import NTriplesError
 
 PROPERTY_WEIGHTS = (
     # Constrained properties drawn often so the corpus exercises every rule.
@@ -319,3 +323,180 @@ def canonicalize_exhaustive(graph):
     if not blanks:
         return "".join(line + "\n" for line in sorted(format_triple(t) for t in triples))
     return _exhaustive_doc(triples, blanks, {b: "" for b in blanks})
+
+
+_NT_ESCAPES = {
+    "t": "\t",
+    "b": "\b",
+    "n": "\n",
+    "r": "\r",
+    "f": "\f",
+    '"': '"',
+    "'": "'",
+    "\\": "\\",
+}
+_HEX_DIGITS = set("0123456789abcdefABCDEF")
+
+
+class _LineParser:
+    """Reads one N-Triples line one character at a time."""
+
+    def __init__(self, text, line_no):
+        self.text = text
+        self.pos = 0
+        self.line_no = line_no
+
+    def error(self, message):
+        return NTriplesError(f"line {self.line_no}: {message}")
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def at_end(self):
+        return self.pos >= len(self.text)
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def _unescape(self, raw, what):
+        out = []
+        i = 0
+        while i < len(raw):
+            ch = raw[i]
+            if ch != "\\":
+                out.append(ch)
+                i += 1
+                continue
+            if i + 1 >= len(raw):
+                raise self.error(f"dangling escape in {what}")
+            code = raw[i + 1]
+            if code in _NT_ESCAPES:
+                out.append(_NT_ESCAPES[code])
+                i += 2
+            elif code in ("u", "U"):
+                width = 4 if code == "u" else 8
+                hexpart = raw[i + 2 : i + 2 + width]
+                if len(hexpart) != width:
+                    raise self.error(f"truncated \\{code} escape in {what}")
+                if not all(digit in _HEX_DIGITS for digit in hexpart):
+                    raise self.error(f"bad \\{code} escape {hexpart!r} in {what}")
+                point = int(hexpart, 16)
+                if point > 0x10FFFF:
+                    raise self.error(f"bad \\{code} escape {hexpart!r} in {what}")
+                if 0xD800 <= point <= 0xDFFF:
+                    raise self.error(f"surrogate \\{code} escape {hexpart!r} in {what}")
+                out.append(chr(point))
+                i += 2 + width
+            else:
+                raise self.error(f"unknown escape \\{code} in {what}")
+        return "".join(out)
+
+    def read_iri(self):
+        if self.peek() != "<":
+            raise self.error(f"expected IRI, found {self.peek()!r}")
+        end = self.text.find(">", self.pos + 1)
+        if end == -1:
+            raise self.error("unterminated IRI")
+        raw = self.text[self.pos + 1 : end]
+        self.pos = end + 1
+        try:
+            return Iri(self._unescape(raw, "IRI"))
+        except NTriplesError:
+            raise
+        except ValueError as exc:
+            raise self.error(str(exc)) from exc
+
+    def read_blank(self):
+        if not self.text.startswith("_:", self.pos):
+            raise self.error("expected blank node label")
+        start = self.pos + 2
+        end = start
+        while end < len(self.text) and (self.text[end].isalnum() or self.text[end] in "_-."):
+            end += 1
+        while end > start and self.text[end - 1] == ".":
+            end -= 1
+        if end == start:
+            raise self.error("empty blank node label")
+        label = self.text[start:end]
+        self.pos = end
+        return BlankNode(label)
+
+    def read_literal(self):
+        i = self.pos + 1
+        while i < len(self.text):
+            if self.text[i] == "\\":
+                i += 2
+                continue
+            if self.text[i] == '"':
+                break
+            i += 1
+        else:
+            raise self.error("unterminated literal")
+        if i >= len(self.text):
+            raise self.error("unterminated literal")
+        lexical = self._unescape(self.text[self.pos + 1 : i], "literal")
+        self.pos = i + 1
+        if self.text.startswith("^^", self.pos):
+            self.pos += 2
+            datatype = self.read_iri()
+            if datatype == RDF_LANGSTRING:
+                raise self.error("language string literal requires a language tag")
+            return Literal(lexical, datatype)
+        if self.peek() == "@":
+            self.pos += 1
+            start = self.pos
+            while self.pos < len(self.text) and (
+                self.text[self.pos].isalnum() or self.text[self.pos] == "-"
+            ):
+                self.pos += 1
+            tag = self.text[start : self.pos]
+            if not tag:
+                raise self.error("empty language tag")
+            return Literal(lexical, lang=tag)
+        return Literal(lexical, XSD_STRING)
+
+    def read_subject(self):
+        if self.peek() == "<":
+            return self.read_iri()
+        return self.read_blank()
+
+    def read_object(self):
+        ch = self.peek()
+        if ch == "<":
+            return self.read_iri()
+        if ch == '"':
+            return self.read_literal()
+        return self.read_blank()
+
+
+def read_ntriples_reference(text):
+    """N-Triples text to a graph by a character-at-a-time scan.
+
+    The library's read_ntriples must read the same graph, or fail with the
+    same message on the same line.  Line ends are "\n", with any "\r" just
+    before one (or at the end of the text) taken as part of it.
+    """
+    graph = Graph()
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        parser = _LineParser(line.rstrip("\r"), line_no)
+        parser.skip_ws()
+        if parser.at_end() or parser.peek() == "#":
+            continue
+        subject = parser.read_subject()
+        parser.skip_ws()
+        predicate = parser.read_iri()
+        parser.skip_ws()
+        obj = parser.read_object()
+        parser.skip_ws()
+        if parser.peek() != ".":
+            raise parser.error("expected '.' at end of triple")
+        parser.pos += 1
+        parser.skip_ws()
+        if not parser.at_end() and parser.peek() != "#":
+            raise parser.error("unexpected text after '.'")
+        try:
+            graph.add(subject, predicate, obj)
+        except ValueError as exc:
+            raise NTriplesError(f"line {line_no}: {exc}") from exc
+    return graph

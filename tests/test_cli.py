@@ -1,12 +1,16 @@
 """Command-line behavior: exit codes, formats, flag precedence, determinism."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import mmods
 from mmods.cli import main
 from mmods.graph import canonicalize
 from mmods.serialize import read_ntriples
@@ -294,6 +298,14 @@ class TestInfer:
         assert not out
         assert err.startswith(f"error: {bad}: line 2: ")
 
+    def test_crlf_input_exit_0(self, capsys, tmp_path):
+        lf = (FIXTURES / "triangle.nt").read_text()
+        crlf = tmp_path / "triangle-crlf.nt"
+        crlf.write_bytes(lf.replace("\n", "\r\n").encode())
+        code, out, err = run(capsys, "infer", crlf, "--format", "nt")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "infer", FIXTURES / "triangle.nt", "--format", "nt")[1]
+
     def test_blank_two_cycles_finish_fast(self, capsys, tmp_path):
         graph = tmp_path / "cycles.nt"
         graph.write_text(
@@ -372,3 +384,37 @@ class TestExitCodeContract:
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
         assert err.value.code == 2
+
+
+SRC = pathlib.Path(mmods.__file__).resolve().parent.parent
+
+
+def fresh_python(*args):
+    """Run python with mmods importable in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, *map(str, args)], capture_output=True, text=True, env=env, check=False
+    )
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_separate_runs(self, capsys):
+        # Flags given to one call must not stick to the next: infer and the
+        # second validate rely on defaults the calls before them override.
+        calls = [
+            ("convert", FIXTURES / "personal.xml", "--format", "nt"),
+            ("infer", FIXTURES / "triangle.nt"),
+            ("validate", FIXTURES / "triangle.nt", "--no-infer", "--report", "json"),
+            ("validate", FIXTURES / "triangle.nt"),
+            ("vocab", "NameType"),
+        ]
+        in_process = [run(capsys, *argv) for argv in calls]
+        for argv, result in zip(calls, in_process):
+            done = fresh_python("-m", "mmods.cli", *argv)
+            assert result == (done.returncode, done.stdout, done.stderr), argv
+
+    def test_parser_not_built_at_import(self):
+        done = fresh_python(
+            "-c", "import mmods.cli; print(mmods.cli._shared_parser.cache_info().currsize)"
+        )
+        assert done.stdout == "0\n"

@@ -2,9 +2,12 @@
 
 import json
 import pathlib
+import re
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmods.axioms import catalog
 from mmods.graph import (
@@ -31,7 +34,7 @@ from mmods.serialize import (
 from mmods.validate import Finding, ValidationReport, validate
 from mmods.vocab import VocabularyRegistry
 
-from oracles import random_vocab_graph
+from oracles import random_vocab_graph, read_ntriples_reference
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SCHEMA = json.loads(
@@ -158,6 +161,194 @@ class TestReadNTriples:
     def test_trailing_garbage(self):
         with pytest.raises(NTriplesError):
             read_ntriples("<urn:s> <urn:p> <urn:o> . <urn:x>\n")
+
+    @pytest.mark.parametrize(
+        "escape", ["\\u+041", "\\u0x41", "\\u 041", "\\u-041", "\\U+0000041", "\\u\u0660\u0660\u0664\u0661"]
+    )
+    def test_non_hex_escape_rejected(self, escape):
+        # int(..., 16) alone would take a sign, a 0x prefix, a space or
+        # non-ASCII digits; an escape has exactly 4 or 8 hex digits.
+        for line in (f'_:a <urn:p> "{escape}" .', f"<urn:s{escape}> <urn:p> <urn:o> ."):
+            with pytest.raises(NTriplesError) as err:
+                read_ntriples("<urn:s> <urn:p> <urn:o> .\n" + line + "\n")
+            assert str(err.value).startswith("line 2: bad ")
+
+    def test_escape_beyond_unicode_rejected(self):
+        with pytest.raises(NTriplesError, match="line 1: bad "):
+            read_ntriples('<urn:s> <urn:p> "\\U00110000" .\n')
+
+    def test_crlf_reads_as_lf(self):
+        lf = (FIXTURES / "triangle.nt").read_text() + "# note\n\n_:b <urn:p> \"x\"@en .\n"
+        for crlf in (lf.replace("\n", "\r\n"), lf.replace("\n", "\r\r\n"), lf.rstrip("\n") + "\r"):
+            assert canonicalize(read_ntriples(crlf)) == canonicalize(read_ntriples(lf))
+
+    def test_crlf_keeps_line_numbers(self):
+        text = "<urn:s> <urn:p> <urn:o> .\r\n\r\n<urn:s> <urn:p> <urn:o>\r\n"
+        with pytest.raises(NTriplesError, match="^line 3: expected '.'"):
+            read_ntriples(text)
+
+    def test_carriage_return_inside_line_rejected(self):
+        with pytest.raises(NTriplesError, match="line 1: unexpected text after '.'"):
+            read_ntriples("<urn:s> <urn:p> <urn:o> .\r<urn:s> <urn:p> <urn:o> .\n")
+
+    def test_escaped_and_plain_iri_are_one_term(self):
+        g = read_ntriples(
+            "<urn:\\u0041> <urn:p> <urn:A> .\n<urn:A> <urn:p> <urn:\\U00000041> .\n"
+        )
+        assert g.triples() == [(Iri("urn:A"), Iri("urn:p"), Iri("urn:A"))]
+
+    def test_blank_label_dots_and_dashes(self):
+        # A label does not end in "."; the dot after it ends the triple.
+        g = read_ntriples("_:a.b-c <urn:p> _:.d.\n_:a.b-c <urn:p> _:e.\t# x\n")
+        assert [(t.s, t.o) for t in g.triples()] == [
+            (BlankNode("a.b-c"), BlankNode(".d")),
+            (BlankNode("a.b-c"), BlankNode("e")),
+        ]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('"s" <urn:p> <urn:o> .', "expected blank node label"),
+            ("_: <urn:p> <urn:o> .", "empty blank node label"),
+            ("_:a _:p <urn:o> .", "expected IRI, found '_'"),
+            ("<urn:s> <urn:p> <urn:o", "unterminated IRI"),
+            ('<urn:s> <urn:p> "x"@ .', "empty language tag"),
+            ('<urn:s> <urn:p> "x"^^ <urn:d> .', "expected IRI, found ' '"),
+            ('<urn:s> <urn:p> "\\q"^^<urn:d .', "unknown escape \\q in literal"),
+            (f'<urn:s> <urn:p> "x"^^<{RDF_NS}langString> .', "language string literal requires"),
+            ("<urn:s> <urn:p> <a b> .", "invalid IRI: 'a b'"),
+            ("<urn:s> <urn:p> <> .", "empty IRI"),
+            ("<urn:s> <urn:p> <urn:o> .. ", "unexpected text after '.'"),
+        ],
+    )
+    def test_error_messages(self, line, message):
+        with pytest.raises(NTriplesError) as err:
+            read_ntriples("# first\n" + line + "\n")
+        assert str(err.value).startswith(f"line 2: {message}")
+
+
+# Generated N-Triples lines: mostly well-formed terms built from pieces
+# that reach every branch of the grammar (escapes, blank labels with dots
+# and dashes, language tags, datatypes, comments, tabs), some with a bad
+# piece, then a few lines mutated with the characters that start or end
+# tokens.  Most lines read, so errors come from every line of a text.
+_WORD = ["a", "Z", "0", "é", "٣", "Ⅷ", "\U0001F600", "_", "-", ".", ":", "/", "#"]
+_GOOD_ESCAPES = ["\\u0041", "\\u00E9", "\\U0001F600", '\\"', "\\'", "\\\\"]
+_BAD_ESCAPES = ["\\u+041", "\\u0x41", "\\u 041", "\\uD800", "\\U00110000", "\\q", "\\u00", "\\"]
+_ODD = [" ", "\t", "<", '"', "@", "^", "\r", "\x0b", "　"]
+_STRAY = ["<", ">", '"', "\\", ".", " ", "\t", "#", "_", ":", "@", "^", "\r", "a"]
+
+
+def _text(pieces, min_size=0):
+    return st.lists(st.sampled_from(pieces), min_size=min_size, max_size=6).map("".join)
+
+
+def _weighted(*choices):
+    """One of the (strategy, weight) choices, drawn in proportion to weight."""
+    return st.sampled_from([s for s, weight in choices for _ in range(weight)]).flatmap(
+        lambda s: s
+    )
+
+
+_CLEAN_IRI = _text(_WORD * 4 + _GOOD_ESCAPES, min_size=1).map(lambda t: f"<{t}>")
+_ANY_IRI = _text(_WORD + _GOOD_ESCAPES + _BAD_ESCAPES + _ODD, min_size=1).map(lambda t: f"<{t}>")
+_IRI = _weighted((_CLEAN_IRI, 7), (_ANY_IRI, 1))
+_BLANK = _text(["a", "b", "0", "é", "٣", "_", "-", "-", ".", "."], min_size=1).map(
+    lambda t: "_:" + t
+)
+_LITERAL = st.builds(
+    lambda body, suffix: f'"{body}"{suffix}',
+    _text(_WORD + _ODD[:-2] + _GOOD_ESCAPES + ["\\n", "\\t", "\\r", "\\b", "\\f"] + _BAD_ESCAPES[:2]),
+    _weighted(
+        (st.just(""), 2),
+        (_text(["en", "fr", "-", "US", "1", "é", "_"]).map(lambda t: "@" + t), 1),
+        (_text(["en", "fr", "-", "US", "1"], min_size=1).map(lambda t: "@" + t), 1),
+        (_CLEAN_IRI.map(lambda iri: "^^" + iri), 2),
+        (st.sampled_from(["^^", "^", f"^^<{RDF_NS}langString>", "^^<urn:d", "^^ <urn:d>"]), 1),
+    ),
+)
+# Only spaces and tabs separate terms; other whitespace is an error.
+_SPACE = _weighted(
+    (st.sampled_from([" ", " ", "\t", "  ", " \t", ""]), 30),
+    (st.sampled_from(["\r", "\x0b", "\x0c", "\x1f", "\u3000"]), 1),
+)
+_TRIPLE = st.builds(
+    lambda s, p, o, gaps, end: s + gaps[0] + p + gaps[1] + o + gaps[2] + end,
+    st.one_of(_IRI, _BLANK),
+    _weighted((_IRI, 9), (_BLANK, 1)),
+    _weighted((_IRI, 3), (_BLANK, 2), (_LITERAL, 4)),
+    st.tuples(_SPACE, _SPACE, _SPACE),
+    st.sampled_from(
+        [".", ".", ".", ".", ".", ". ", ".\t# note", ".#", ". # x . y"]
+        + ["", ". x", "..", ". <urn:o> .", ".\r", ".\r# x", "\x0b.", ". \u3000"]
+    ),
+)
+_LINE = _weighted(
+    (_TRIPLE, 6),
+    (st.sampled_from(["", " ", "\t", "# comment", "  # indented", "\t#", '"s" <urn:p> <urn:o> .']), 1),
+)
+
+
+@st.composite
+def _mutated_line(draw):
+    line = draw(_LINE)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 1, 2]))):
+        i = draw(st.integers(0, len(line)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if kind == "insert":
+            line = line[:i] + draw(st.sampled_from(_STRAY)) + line[i:]
+        elif i < len(line):
+            replacement = draw(st.sampled_from(_STRAY)) if kind == "replace" else ""
+            line = line[:i] + replacement + line[i + 1 :]
+    return line
+
+
+def _read_outcome(reader, text):
+    try:
+        return canonicalize(reader(text))
+    except NTriplesError as exc:
+        return f"NTriplesError: {exc}"
+
+
+class TestReaderMatchesReference:
+    """The term-pattern reader against the character scan in oracles.py."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.lists(_mutated_line(), min_size=1, max_size=6),
+        st.sampled_from(["\n", "\r\n", "\r\r\n"]),
+        st.booleans(),
+    )
+    def test_same_graph_or_same_error(self, lines, eol, final_eol):
+        text = eol.join(lines) + (eol if final_eol else "")
+        assert _read_outcome(read_ntriples, text) == _read_outcome(read_ntriples_reference, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TRIPLE.filter(lambda line: line.endswith(".")), min_size=1, max_size=8))
+    def test_repeated_terms(self, lines):
+        # Repeats of one line, and its terms reused, go through the term cache.
+        text = "\n".join(lines + lines[::-1]) + "\n"
+        assert _read_outcome(read_ntriples, text) == _read_outcome(read_ntriples_reference, text)
+
+
+def test_whitespace_pattern_is_isspace():
+    from mmods.graph import _WHITESPACE
+
+    for point in range(0x110000):
+        ch = chr(point)
+        assert bool(_WHITESPACE.match(ch)) == ch.isspace(), hex(point)
+
+
+def test_term_text_patterns_match_character_rules():
+    # Blank labels run over alphanumerics and "_-."; language tags over
+    # alphanumerics and "-".
+    from mmods.serialize import _LABEL_CHAR, _TAG_CHAR
+
+    label, tag = re.compile(_LABEL_CHAR), re.compile(_TAG_CHAR)
+    for point in range(0x110000):
+        ch = chr(point)
+        assert bool(label.match(ch)) == (ch.isalnum() or ch in "_-"), hex(point)
+        assert bool(tag.match(ch)) == (ch.isalnum() or ch == "-"), hex(point)
 
 
 # Minimal Turtle reader covering exactly the subset the writer emits;
