@@ -1,9 +1,9 @@
 """Command-line interface: convert, validate, infer, emit-ontology, vocab.
 
 Exit codes: 0 success, 1 parse failure (also a bad or repeated record ID),
-2 I/O or usage failure, 3 validation found errors, 4 unknown vocabulary
-name. Artifacts go to stdout (or --out), diagnostics to stderr. Same inputs
-and flags produce byte-identical output.
+2 I/O or usage failure (also an invalid base IRI), 3 validation found
+errors, 4 unknown vocabulary name. Artifacts go to stdout (or --out),
+diagnostics to stderr. Same inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .serialize import (
     write_turtle,
 )
 from .validate import validate
-from .vocab import DEFAULT_BASE_IRI, VocabularyRegistry
+from .vocab import DEFAULT_BASE_IRI, VocabularyError, VocabularyRegistry
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -44,10 +44,13 @@ class _CliError(Exception):
         self.exit_code = exit_code
 
 
-def _base_iri(args) -> str:
-    if args.base_iri:
-        return args.base_iri
-    return os.environ.get("MMODS_BASE_IRI") or DEFAULT_BASE_IRI
+def _registry(args) -> VocabularyRegistry:
+    """The registry under --base-iri, else MMODS_BASE_IRI, else the default."""
+    base = args.base_iri or os.environ.get("MMODS_BASE_IRI") or DEFAULT_BASE_IRI
+    try:
+        return VocabularyRegistry(base)
+    except VocabularyError as exc:
+        raise _CliError(EXIT_IO, exc.args[0]) from exc
 
 
 def _read_bytes(path: str) -> bytes:
@@ -119,7 +122,7 @@ def _serialize_graph(graph: Graph, registry, fmt: str) -> str:
 
 
 def _cmd_convert(args) -> int:
-    registry = VocabularyRegistry(_base_iri(args))
+    registry = _registry(args)
     graphs = [_map_mods(path, registry) for path in args.inputs]
     _write_output(_serialize_graph(_merge(graphs), registry, args.format), args.out)
     return EXIT_OK
@@ -135,7 +138,7 @@ def _load_for_validation(path: str, args, registry) -> Graph:
 
 
 def _cmd_validate(args) -> int:
-    registry = VocabularyRegistry(_base_iri(args))
+    registry = _registry(args)
     rules = catalog(registry)
     reports = []
     for path in args.inputs:
@@ -168,7 +171,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    registry = VocabularyRegistry(_base_iri(args))
+    registry = _registry(args)
     rules = catalog(registry)
     graph = _read_graph_file(args.input)
     _write_output(
@@ -180,7 +183,7 @@ def _cmd_infer(args) -> int:
 def _cmd_emit_ontology(args) -> int:
     from .vocab import emit_ontology
 
-    registry = VocabularyRegistry(_base_iri(args))
+    registry = _registry(args)
     rules = catalog(registry)
     graph = emit_ontology(registry, rules)
     _write_output(_serialize_graph(graph, registry, args.format), args.out)
@@ -188,7 +191,7 @@ def _cmd_emit_ontology(args) -> int:
 
 
 def _cmd_vocab(args) -> int:
-    registry = VocabularyRegistry(_base_iri(args))
+    registry = _registry(args)
     if args.name is not None:
         vocab = registry.vocabularies.get(args.name)
         if vocab is None:

@@ -2,7 +2,7 @@
 
 A Graph has set semantics: adding a triple twice leaves one copy.  Terms are
 interned to integer ids so pattern matching runs on the id-level store in
-_core_py.
+_core_py; term_id, term and match_ids expose that level to the validator.
 
 canonicalize() produces a text form shared by exactly the graphs that are
 isomorphic under blank-node renaming, so graph comparison is string equality.
@@ -223,6 +223,19 @@ class Graph:
         ]
         found.sort(key=triple_sort_key)
         return found
+
+    def term_id(self, term: Term) -> Optional[int]:
+        """The interned id of a term, or None when the graph has not interned
+        it (then no triple holds it)."""
+        return self._ids.get(term)
+
+    def term(self, tid: int) -> Term:
+        """The term behind an interned id."""
+        return self._terms[tid]
+
+    def match_ids(self, s: int, p: int, o: int) -> list[tuple[int, int, int]]:
+        """Id triples matching the pattern (WILDCARD, -1, = any), unsorted."""
+        return self._store.match(s, p, o)
 
     def fresh_blank(self) -> BlankNode:
         """A blank node whose label is unused in this graph: b0, b1, ..."""

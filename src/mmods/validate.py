@@ -3,20 +3,32 @@
 Each constraint is read as an integrity check on the triples actually
 present (optionally after materializing inferred triples), not as open-world
 entailment: a required edge that is absent is a violation.
+
+The kernels run on the store's interned integer ids.  A view of the graph,
+built once per validate() call (and once per check_constraint() call), holds
+the set of subject ids typed with each class, built on first use by one
+store lookup; fillers become tests on ids, and edges are read unsorted.  Ids
+become terms only for the findings, which are sorted at the end: by focus,
+or for edge-level rules by (subject, object).  So the order and text of the
+findings depend on the terms alone, never on interning or insertion order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
-from .axioms import Constraint, ConstraintCatalog, DatatypeFiller, Filler, VocabFiller
+from .axioms import Constraint, ConstraintCatalog, Filler, VocabFiller
 from .graph import (
     RDF_TYPE,
+    WILDCARD,
     Graph,
     Iri,
     Literal,
     Term,
+    Triple,
     format_term,
     format_triple,
     term_sort_key,
@@ -63,33 +75,82 @@ class ValidationReport:
         return {"errors": self.errors, "warnings": self.warnings, "infos": self.infos}
 
 
-def _typed(graph: Graph, cls: Iri) -> list:
-    return sorted({t.s for t in graph.match(None, RDF_TYPE, cls)}, key=term_sort_key)
+_subject = itemgetter(0)
 
 
-def _is_typed(graph: Graph, term: Term, cls: Iri) -> bool:
-    return not isinstance(term, Literal) and (term, RDF_TYPE, cls) in graph
+class _IdView:
+    """A graph seen through its interned ids, for the constraint kernels.
 
+    Kernels read whole properties (every edge of one predicate) and typed
+    sets, so each asks the store a fixed number of questions whatever the
+    graph's size.  A class or property the graph has not interned reads as
+    empty.  The typed set of a class is built on first use, by one store
+    lookup, and kept for the life of the view.
+    """
 
-def _vocab_member(graph: Graph, registry: VocabularyRegistry, vocab_name: str, term: Term) -> bool:
-    """Closed vocabularies admit only listed members; open ones also admit
-    any IRI the graph types with the vocabulary class."""
-    vocab = registry.vocabularies[vocab_name]
-    if term in vocab.individuals:
-        return True
-    if not vocab.closed and isinstance(term, Iri):
-        return (term, RDF_TYPE, vocab.class_iri) in graph
-    return False
+    def __init__(self, graph: Graph, registry: VocabularyRegistry):
+        self.registry = registry
+        self.id = graph.term_id
+        self.term = graph.term
+        self._match_ids = graph.match_ids
+        self._rdf_type = graph.term_id(RDF_TYPE)
+        self._typed: dict[Optional[int], set[int]] = {}
 
+    def edges(self, prop: Iri) -> list[tuple[int, int, int]]:
+        """Every id triple with the property as predicate, unsorted."""
+        pid = self.id(prop)
+        return [] if pid is None else self._match_ids(WILDCARD, pid, WILDCARD)
 
-def _filler_ok(graph: Graph, registry: VocabularyRegistry, filler: Optional[Filler], term: Term) -> bool:
-    if filler is None:
-        return True
-    if isinstance(filler, Iri):
-        return _is_typed(graph, term, filler)
-    if isinstance(filler, VocabFiller):
-        return _vocab_member(graph, registry, filler.vocabulary, term)
-    return isinstance(term, Literal) and term.datatype == filler.datatype
+    def typed(self, cls: Optional[Iri]) -> set[int]:
+        """Ids of the subjects typed with the class, or with any class for
+        None (a rule without a scope class applies to every typed node)."""
+        cid = WILDCARD if cls is None else self.id(cls)
+        found = self._typed.get(cid)
+        if found is None:
+            if cid is None or self._rdf_type is None:
+                found = set()
+            else:
+                found = set(map(_subject, self._match_ids(WILDCARD, self._rdf_type, cid)))
+            self._typed[cid] = found
+        return found
+
+    def accepts(self, filler: Optional[Filler]) -> Callable[[int], bool]:
+        """A test on ids for a filler: membership in a class (used for scope
+        classes too) or a vocabulary, a literal's datatype, or None for any."""
+        if filler is None:
+            return lambda tid: True
+        if isinstance(filler, Iri):
+            return self.typed(filler).__contains__
+        if isinstance(filler, VocabFiller):
+            # Closed vocabularies admit only listed members; open ones also
+            # admit any IRI the graph types with the vocabulary class.
+            vocab = self.registry.vocabularies[filler.vocabulary]
+            members = {self.id(member) for member in vocab.individuals} - {None}
+            if not vocab.closed:
+                members.update(
+                    tid for tid in self.typed(vocab.class_iri) if isinstance(self.term(tid), Iri)
+                )
+            return members.__contains__
+        datatype, term = filler.datatype.value, self.term
+
+        def literal_of_datatype(tid: int) -> bool:
+            value = term(tid)
+            return isinstance(value, Literal) and value.datatype.value == datatype
+
+        return literal_of_datatype
+
+    def sort_key(self, tid: int) -> tuple:
+        return term_sort_key(self.term(tid))
+
+    def sorted_terms(self, ids) -> list[Term]:
+        return sorted(map(self.term, ids), key=term_sort_key)
+
+    def sorted_pairs(self, pairs) -> list[tuple[Term, Term]]:
+        """(subject, object) id pairs as terms, in (subject, object) key order."""
+        return sorted(
+            ((self.term(s), self.term(o)) for s, o in pairs),
+            key=lambda pair: (term_sort_key(pair[0]), term_sort_key(pair[1])),
+        )
 
 
 def _filler_text(filler: Filler) -> str:
@@ -111,128 +172,161 @@ def _finding(constraint: Constraint, severity: str, focus: Term, detail: str) ->
     )
 
 
-def _check_existential(graph, constraint, registry):
-    out = []
-    for x in _typed(graph, constraint.scope_class):
-        edges = graph.match(x, constraint.prop, None)
-        if not any(_filler_ok(graph, registry, constraint.filler, t.o) for t in edges):
-            detail = (
-                f"{format_term(x)} has no {format_term(constraint.prop)} edge to "
-                f"{_filler_text(constraint.filler)}"
-            )
-            out.append(_finding(constraint, "error", x, detail))
-    return out
+def _existential(view: _IdView, constraint: Constraint, strict: bool) -> list[Finding]:
+    scope = view.typed(constraint.scope_class)
+    ok = view.accepts(constraint.filler)
+    satisfied = {s for s, _, o in view.edges(constraint.prop) if s in scope and ok(o)}
+    missing = scope - satisfied
+    return [
+        _finding(
+            constraint,
+            "error",
+            x,
+            f"{format_term(x)} has no {format_term(constraint.prop)} edge to "
+            f"{_filler_text(constraint.filler)}",
+        )
+        for x in view.sorted_terms(missing)
+    ]
 
 
-def _check_max_one(graph, constraint, registry):
-    out = []
-    edges = graph.match(None, constraint.prop, None)
-    if constraint.direction == "forward":
-        groups: dict = {}
-        for t in edges:
-            if constraint.scope_class is not None and not _is_typed(graph, t.s, constraint.scope_class):
-                continue
-            if constraint.filler is not None and not _filler_ok(graph, registry, constraint.filler, t.o):
-                continue
-            groups.setdefault(t.s, set()).add(t.o)
-        for focus in sorted(groups, key=term_sort_key):
-            objects = groups[focus]
-            if len(objects) > 1:
-                listed = ", ".join(sorted(format_term(o) for o in objects))
-                detail = (
-                    f"{format_term(focus)} has {len(objects)} distinct "
-                    f"{format_term(constraint.prop)} objects: {listed}"
-                )
-                out.append(_finding(constraint, "error", focus, detail))
-        return out
-    groups = {}
+def _max_one(view: _IdView, constraint: Constraint, strict: bool) -> list[Finding]:
+    forward = constraint.direction == "forward"
+    focus_at, other_at = (0, 2) if forward else (2, 0)
+    edges = view.edges(constraint.prop)
+    # Only a node at two or more edges can break the rule; usually none is.
+    counts = Counter(map(itemgetter(focus_at), edges))
+    shared = {focus for focus, count in counts.items() if count > 1}
+    if not shared:
+        return []
+    in_scope = view.accepts(constraint.scope_class)
+    ok = view.accepts(constraint.filler)
+    # Triples are distinct, so with the property fixed each group's members are too.
+    groups: dict[Term, list[int]] = {}
     for t in edges:
-        if constraint.scope_class is not None and not _is_typed(graph, t.o, constraint.scope_class):
-            continue
-        if constraint.filler is not None and not _filler_ok(graph, registry, constraint.filler, t.s):
-            continue
-        groups.setdefault(t.o, set()).add(t.s)
+        focus, other = t[focus_at], t[other_at]
+        if focus in shared and in_scope(focus) and ok(other):
+            groups.setdefault(view.term(focus), []).append(other)
+    what, ends = ("", "objects") if forward else ("incoming ", "subjects")
+    out = []
     for focus in sorted(groups, key=term_sort_key):
-        subjects = groups[focus]
-        if len(subjects) > 1:
-            listed = ", ".join(sorted(format_term(s) for s in subjects))
+        others = groups[focus]
+        if len(others) > 1:
+            listed = ", ".join(sorted(format_term(view.term(other)) for other in others))
             detail = (
-                f"{format_term(focus)} has {len(subjects)} distinct incoming "
-                f"{format_term(constraint.prop)} subjects: {listed}"
+                f"{format_term(focus)} has {len(others)} distinct {what}"
+                f"{format_term(constraint.prop)} {ends}: {listed}"
             )
             out.append(_finding(constraint, "error", focus, detail))
     return out
 
 
-def _check_universal_range(graph, constraint, registry, strict):
-    out = []
+def _range_findings(
+    view: _IdView, constraint: Constraint, severity: str, scope: Optional[Iri]
+) -> list[Finding]:
+    """One finding per edge from a node in scope whose object fails the filler."""
+    ok = view.accepts(constraint.filler)
+    in_scope = view.accepts(scope)
+    bad = [(s, o) for s, _, o in view.edges(constraint.prop) if not ok(o) and in_scope(s)]
+    return [
+        _finding(
+            constraint,
+            severity,
+            s,
+            f"object of {format_triple(Triple(s, constraint.prop, o))} "
+            f"is not {_filler_text(constraint.filler)}",
+        )
+        for s, o in view.sorted_pairs(bad)
+    ]
+
+
+def _universal_range(view: _IdView, constraint: Constraint, strict: bool) -> list[Finding]:
     vocab_filler = isinstance(constraint.filler, VocabFiller)
     severity = "error" if (not vocab_filler or strict) else "warning"
-    for t in graph.match(None, constraint.prop, None):
-        if not _filler_ok(graph, registry, constraint.filler, t.o):
-            detail = f"object of {format_triple(t)} is not {_filler_text(constraint.filler)}"
-            out.append(_finding(constraint, severity, t.s, detail))
-    return out
+    return _range_findings(view, constraint, severity, None)
 
 
-def _check_inverse_existential(graph, constraint, registry):
+def _structural_tautology(view: _IdView, constraint: Constraint, strict: bool) -> list[Finding]:
+    return _range_findings(view, constraint, "warning", constraint.scope_class)
+
+
+def _inverse_existential(view: _IdView, constraint: Constraint, strict: bool) -> list[Finding]:
+    sources = view.typed(constraint.source_class)
+    reached = {o for s, _, o in view.edges(constraint.prop) if s in sources}
+    missing = view.typed(constraint.scope_class) - reached
+    return [
+        _finding(
+            constraint,
+            "error",
+            x,
+            f"{format_term(x)} has no incoming {format_term(constraint.prop)} edge "
+            f"from a node typed {format_term(constraint.source_class)}",
+        )
+        for x in view.sorted_terms(missing)
+    ]
+
+
+def _negated_path(view: _IdView, constraint: Constraint, strict: bool) -> list[Finding]:
+    tails: dict[int, list[int]] = {}
+    for middle, _, tail in view.edges(constraint.prop2):
+        tails.setdefault(middle, []).append(tail)
+    scope = view.typed(constraint.scope_class)
+    # focus -> its middle nodes that have a tail
+    hits: dict[Term, list[int]] = {}
+    for x, _, middle in view.edges(constraint.prop):
+        if middle in tails and x in scope:
+            hits.setdefault(view.term(x), []).append(middle)
     out = []
-    for x in _typed(graph, constraint.scope_class):
-        incoming = graph.match(None, constraint.prop, x)
-        if not any(_is_typed(graph, t.s, constraint.source_class) for t in incoming):
-            detail = (
-                f"{format_term(x)} has no incoming {format_term(constraint.prop)} edge "
-                f"from a node typed {format_term(constraint.source_class)}"
-            )
-            out.append(_finding(constraint, "error", x, detail))
+    for x in sorted(hits, key=term_sort_key):
+        middle = min(hits[x], key=view.sort_key)
+        tail = view.term(min(tails[middle], key=view.sort_key))
+        detail = (
+            f"{format_term(x)} reaches {format_term(tail)} via "
+            f"{format_term(constraint.prop)} then {format_term(constraint.prop2)}"
+        )
+        out.append(_finding(constraint, "error", x, detail))
     return out
 
 
-def _check_negated_path(graph, constraint, registry):
-    out = []
-    for x in _typed(graph, constraint.scope_class):
-        hit = None
-        for step in graph.match(x, constraint.prop, None):
-            if isinstance(step.o, Literal):
-                continue
-            tails = graph.match(step.o, constraint.prop2, None)
-            if tails:
-                hit = (step.o, tails[0].o)
-                break
-        if hit is not None:
-            detail = (
-                f"{format_term(x)} reaches {format_term(hit[1])} via "
-                f"{format_term(constraint.prop)} then {format_term(constraint.prop2)}"
-            )
-            out.append(_finding(constraint, "error", x, detail))
-    return out
-
-
-def _check_structural_tautology(graph, constraint, registry):
-    out = []
-    for t in graph.match(None, constraint.prop, None):
-        if constraint.scope_class is not None and not _is_typed(graph, t.s, constraint.scope_class):
-            continue
-        if not _filler_ok(graph, registry, constraint.filler, t.o):
-            detail = f"object of {format_triple(t)} is not {_filler_text(constraint.filler)}"
-            out.append(_finding(constraint, "warning", t.s, detail))
-    return out
-
-
-def _check_scoped_domain(graph, constraint, registry):
+def _scoped_domain(view: _IdView, constraint: Constraint, strict: bool) -> list[Finding]:
+    targets = view.typed(constraint.filler)
+    required = view.typed(constraint.required_class)
+    bad = [
+        (s, o) for s, _, o in view.edges(constraint.prop) if o in targets and s not in required
+    ]
     out = []
     seen = set()
-    for t in graph.match(None, constraint.prop, None):
-        if t.s in seen:
+    # In (subject, object) order the first pair of each subject names its least object.
+    for s, o in view.sorted_pairs(bad):
+        if s in seen:
             continue
-        if _is_typed(graph, t.o, constraint.filler) and not _is_typed(graph, t.s, constraint.required_class):
-            seen.add(t.s)
-            detail = (
-                f"{format_term(t.s)} has a {format_term(constraint.prop)} edge to "
-                f"{format_term(t.o)} but is not typed {format_term(constraint.required_class)}"
-            )
-            out.append(_finding(constraint, "error", t.s, detail))
+        seen.add(s)
+        detail = (
+            f"{format_term(s)} has a {format_term(constraint.prop)} edge to "
+            f"{format_term(o)} but is not typed {format_term(constraint.required_class)}"
+        )
+        out.append(_finding(constraint, "error", s, detail))
     return out
+
+
+_KERNELS = {
+    "existential": _existential,
+    "max_one": _max_one,
+    "universal_range": _universal_range,
+    "inverse_existential": _inverse_existential,
+    "negated_path": _negated_path,
+    "structural_tautology": _structural_tautology,
+    "scoped_domain": _scoped_domain,
+}
+
+
+def _check(view: _IdView, constraint: Constraint, strict: bool) -> list[Finding]:
+    kind = constraint.kind
+    if kind in ("subclass_of", "role_chain"):
+        return []
+    kernel = _KERNELS.get(kind)
+    if kernel is None:
+        raise ValueError(f"unknown constraint kind: {kind}")
+    return kernel(view, constraint, strict)
 
 
 def check_constraint(
@@ -242,24 +336,7 @@ def check_constraint(
     strict: bool = False,
 ) -> list[Finding]:
     """Findings for one constraint, in deterministic focus order."""
-    kind = constraint.kind
-    if kind in ("subclass_of", "role_chain"):
-        return []
-    if kind == "existential":
-        return _check_existential(graph, constraint, registry)
-    if kind == "max_one":
-        return _check_max_one(graph, constraint, registry)
-    if kind == "universal_range":
-        return _check_universal_range(graph, constraint, registry, strict)
-    if kind == "inverse_existential":
-        return _check_inverse_existential(graph, constraint, registry)
-    if kind == "negated_path":
-        return _check_negated_path(graph, constraint, registry)
-    if kind == "structural_tautology":
-        return _check_structural_tautology(graph, constraint, registry)
-    if kind == "scoped_domain":
-        return _check_scoped_domain(graph, constraint, registry)
-    raise ValueError(f"unknown constraint kind: {kind}")
+    return _check(_IdView(graph, registry), constraint, strict)
 
 
 def validate(
@@ -273,7 +350,8 @@ def validate(
 ) -> ValidationReport:
     """Check every catalog constraint; inferred triples count by default."""
     target = materialize(graph, catalog) if infer else graph
+    view = _IdView(target, registry)
     findings: list[Finding] = []
     for constraint in catalog:
-        findings.extend(check_constraint(target, constraint, registry, strict))
+        findings.extend(_check(view, constraint, strict))
     return ValidationReport(findings, source=source)

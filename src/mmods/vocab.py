@@ -19,6 +19,7 @@ from .graph import (
     RDF_TYPE,
     RDFS_SUBCLASS_OF,
     Graph,
+    GraphError,
     Iri,
     Literal,
 )
@@ -207,6 +208,10 @@ class VocabularyRegistry:
     def __init__(self, base_iri: str = DEFAULT_BASE_IRI):
         if not base_iri:
             raise VocabularyError("base IRI must be non-empty")
+        try:
+            Iri(base_iri)
+        except GraphError:
+            raise VocabularyError(f"invalid base IRI {base_iri!r}") from None
         if not base_iri.endswith(("/", "#")):
             base_iri += "/"
         self._base = base_iri

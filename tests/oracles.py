@@ -4,6 +4,9 @@ Everything here works by plain scans over the raw triple list, never through
 the library's indexed lookups or its constraint checker, so agreement between
 the two is meaningful.  The N-Triples reference reader scans its input one
 character at a time, with none of the library reader's patterns or cache.
+The reference validator is the exception: it is the library's former
+term-level constraint checker, which the id-level one must match finding for
+finding.
 """
 
 import hashlib
@@ -23,8 +26,10 @@ from mmods.graph import (
     Triple,
     format_term,
     format_triple,
+    term_sort_key,
 )
 from mmods.serialize import NTriplesError
+from mmods.validate import Finding
 
 PROPERTY_WEIGHTS = (
     # Constrained properties drawn often so the corpus exercises every rule.
@@ -500,3 +505,215 @@ def read_ntriples_reference(text):
         except ValueError as exc:
             raise NTriplesError(f"line {line_no}: {exc}") from exc
     return graph
+
+# The validator's former term-level kernels, kept as a reference.  They look
+# terms up through Graph.match, which returns term triples in term order,
+# and test types with `in`; the library's kernels work on interned ids and
+# sort only their findings.  Findings must agree field for field, in order.
+
+
+def _typed(graph, cls):
+    return sorted({t.s for t in graph.match(None, RDF_TYPE, cls)}, key=term_sort_key)
+
+
+def _is_typed(graph, term, cls):
+    return not isinstance(term, Literal) and (term, RDF_TYPE, cls) in graph
+
+
+def _vocab_member(graph, registry, vocab_name, term):
+    """Closed vocabularies admit only listed members; open ones also admit
+    any IRI the graph types with the vocabulary class."""
+    vocab = registry.vocabularies[vocab_name]
+    if term in vocab.individuals:
+        return True
+    if not vocab.closed and isinstance(term, Iri):
+        return (term, RDF_TYPE, vocab.class_iri) in graph
+    return False
+
+
+def _filler_ok(graph, registry, filler, term):
+    if filler is None:
+        return True
+    if isinstance(filler, Iri):
+        return _is_typed(graph, term, filler)
+    if isinstance(filler, VocabFiller):
+        return _vocab_member(graph, registry, filler.vocabulary, term)
+    return isinstance(term, Literal) and term.datatype == filler.datatype
+
+
+def _filler_text(filler):
+    if isinstance(filler, Iri):
+        return f"a node typed {format_term(filler)}"
+    if isinstance(filler, VocabFiller):
+        return f"a member of the {filler.vocabulary} vocabulary"
+    return f"a literal of datatype {format_term(filler.datatype)}"
+
+
+def _finding(constraint, severity, focus, detail):
+    return Finding(
+        code=constraint.code,
+        axiom_id=constraint.axiom_id,
+        severity=severity,
+        focus=format_term(focus),
+        detail=detail,
+        message=constraint.message,
+    )
+
+
+def _check_existential(graph, constraint, registry):
+    out = []
+    for x in _typed(graph, constraint.scope_class):
+        edges = graph.match(x, constraint.prop, None)
+        if not any(_filler_ok(graph, registry, constraint.filler, t.o) for t in edges):
+            detail = (
+                f"{format_term(x)} has no {format_term(constraint.prop)} edge to "
+                f"{_filler_text(constraint.filler)}"
+            )
+            out.append(_finding(constraint, "error", x, detail))
+    return out
+
+
+def _check_max_one(graph, constraint, registry):
+    out = []
+    edges = graph.match(None, constraint.prop, None)
+    if constraint.direction == "forward":
+        groups = {}
+        for t in edges:
+            if constraint.scope_class is not None and not _is_typed(graph, t.s, constraint.scope_class):
+                continue
+            if constraint.filler is not None and not _filler_ok(graph, registry, constraint.filler, t.o):
+                continue
+            groups.setdefault(t.s, set()).add(t.o)
+        for focus in sorted(groups, key=term_sort_key):
+            objects = groups[focus]
+            if len(objects) > 1:
+                listed = ", ".join(sorted(format_term(o) for o in objects))
+                detail = (
+                    f"{format_term(focus)} has {len(objects)} distinct "
+                    f"{format_term(constraint.prop)} objects: {listed}"
+                )
+                out.append(_finding(constraint, "error", focus, detail))
+        return out
+    groups = {}
+    for t in edges:
+        if constraint.scope_class is not None and not _is_typed(graph, t.o, constraint.scope_class):
+            continue
+        if constraint.filler is not None and not _filler_ok(graph, registry, constraint.filler, t.s):
+            continue
+        groups.setdefault(t.o, set()).add(t.s)
+    for focus in sorted(groups, key=term_sort_key):
+        subjects = groups[focus]
+        if len(subjects) > 1:
+            listed = ", ".join(sorted(format_term(s) for s in subjects))
+            detail = (
+                f"{format_term(focus)} has {len(subjects)} distinct incoming "
+                f"{format_term(constraint.prop)} subjects: {listed}"
+            )
+            out.append(_finding(constraint, "error", focus, detail))
+    return out
+
+
+def _check_universal_range(graph, constraint, registry, strict):
+    out = []
+    vocab_filler = isinstance(constraint.filler, VocabFiller)
+    severity = "error" if (not vocab_filler or strict) else "warning"
+    for t in graph.match(None, constraint.prop, None):
+        if not _filler_ok(graph, registry, constraint.filler, t.o):
+            detail = f"object of {format_triple(t)} is not {_filler_text(constraint.filler)}"
+            out.append(_finding(constraint, severity, t.s, detail))
+    return out
+
+
+def _check_inverse_existential(graph, constraint, registry):
+    out = []
+    for x in _typed(graph, constraint.scope_class):
+        incoming = graph.match(None, constraint.prop, x)
+        if not any(_is_typed(graph, t.s, constraint.source_class) for t in incoming):
+            detail = (
+                f"{format_term(x)} has no incoming {format_term(constraint.prop)} edge "
+                f"from a node typed {format_term(constraint.source_class)}"
+            )
+            out.append(_finding(constraint, "error", x, detail))
+    return out
+
+
+def _check_negated_path(graph, constraint, registry):
+    out = []
+    for x in _typed(graph, constraint.scope_class):
+        hit = None
+        for step in graph.match(x, constraint.prop, None):
+            if isinstance(step.o, Literal):
+                continue
+            tails = graph.match(step.o, constraint.prop2, None)
+            if tails:
+                hit = (step.o, tails[0].o)
+                break
+        if hit is not None:
+            detail = (
+                f"{format_term(x)} reaches {format_term(hit[1])} via "
+                f"{format_term(constraint.prop)} then {format_term(constraint.prop2)}"
+            )
+            out.append(_finding(constraint, "error", x, detail))
+    return out
+
+
+def _check_structural_tautology(graph, constraint, registry):
+    out = []
+    for t in graph.match(None, constraint.prop, None):
+        if constraint.scope_class is not None and not _is_typed(graph, t.s, constraint.scope_class):
+            continue
+        if not _filler_ok(graph, registry, constraint.filler, t.o):
+            detail = f"object of {format_triple(t)} is not {_filler_text(constraint.filler)}"
+            out.append(_finding(constraint, "warning", t.s, detail))
+    return out
+
+
+def _check_scoped_domain(graph, constraint, registry):
+    out = []
+    seen = set()
+    for t in graph.match(None, constraint.prop, None):
+        if t.s in seen:
+            continue
+        if _is_typed(graph, t.o, constraint.filler) and not _is_typed(graph, t.s, constraint.required_class):
+            seen.add(t.s)
+            detail = (
+                f"{format_term(t.s)} has a {format_term(constraint.prop)} edge to "
+                f"{format_term(t.o)} but is not typed {format_term(constraint.required_class)}"
+            )
+            out.append(_finding(constraint, "error", t.s, detail))
+    return out
+
+
+def check_constraint_reference(graph, constraint, registry, strict=False):
+    """Findings for one constraint, as the term-level kernels give them."""
+    kind = constraint.kind
+    if kind in ("subclass_of", "role_chain"):
+        return []
+    if kind == "existential":
+        return _check_existential(graph, constraint, registry)
+    if kind == "max_one":
+        return _check_max_one(graph, constraint, registry)
+    if kind == "universal_range":
+        return _check_universal_range(graph, constraint, registry, strict)
+    if kind == "inverse_existential":
+        return _check_inverse_existential(graph, constraint, registry)
+    if kind == "negated_path":
+        return _check_negated_path(graph, constraint, registry)
+    if kind == "structural_tautology":
+        return _check_structural_tautology(graph, constraint, registry)
+    if kind == "scoped_domain":
+        return _check_scoped_domain(graph, constraint, registry)
+    raise ValueError(f"unknown constraint kind: {kind}")
+
+
+def validate_reference(graph, cat, reg, *, infer=True, strict=False):
+    """Every finding of the catalog, in catalog order, as a list.
+
+    Inferred triples come from naive_materialize, not the library's store copy
+    and saturation.
+    """
+    target = naive_materialize(graph, cat) if infer else graph
+    findings = []
+    for constraint in cat:
+        findings.extend(check_constraint_reference(target, constraint, reg, strict))
+    return findings

@@ -389,11 +389,19 @@ class TestExitCodeContract:
 SRC = pathlib.Path(mmods.__file__).resolve().parent.parent
 
 
-def fresh_python(*args):
-    """Run python with mmods importable in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+def fresh_env():
+    """The environment under which a fresh interpreter imports this mmods."""
+    return dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def fresh_python(*args, env=None):
+    """Run python with mmods importable in a fresh interpreter, with extra env."""
     return subprocess.run(
-        [sys.executable, *map(str, args)], capture_output=True, text=True, env=env, check=False
+        [sys.executable, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=dict(fresh_env(), **(env or {})),
+        check=False,
     )
 
 
@@ -418,3 +426,50 @@ class TestParserReuse:
             "-c", "import mmods.cli; print(mmods.cli._shared_parser.cache_info().currsize)"
         )
         assert done.stdout == "0\n"
+
+
+BASE_IRI_COMMANDS = [
+    ("convert", FIXTURES / "personal.xml"),
+    ("validate", FIXTURES / "personal.xml", "--report", "json"),
+    ("infer", FIXTURES / "triangle.nt"),
+    ("emit-ontology",),
+    ("vocab",),
+]
+
+
+class TestInvalidBaseIri:
+    @pytest.mark.parametrize("argv", BASE_IRI_COMMANDS, ids=lambda argv: argv[0])
+    def test_flag_exits_2(self, argv):
+        done = fresh_python("-m", "mmods.cli", *argv, "--base-iri", "a b")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: invalid base IRI 'a b'\n"
+
+    @pytest.mark.parametrize("argv", BASE_IRI_COMMANDS, ids=lambda argv: argv[0])
+    def test_environment_exits_2(self, argv):
+        done = fresh_python("-m", "mmods.cli", *argv, env={"MMODS_BASE_IRI": "http://x/>"})
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: invalid base IRI 'http://x/>'\n"
+
+
+class TestHashSeedIndependence:
+    """Output bytes do not depend on string hashing, so no set or dict order leaks."""
+
+    def test_same_bytes_under_two_hash_seeds(self):
+        calls = [("infer", FIXTURES / "triangle.nt", "--format", fmt) for fmt in ("nt", "ttl")]
+        for record in sorted(FIXTURES.glob("*.xml")):
+            calls.append(("validate", record, "--report", "json"))
+            calls.extend(("convert", record, "--format", fmt) for fmt in ("nt", "ttl"))
+        for argv in calls:
+            # The two seeds run side by side.
+            runs = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "mmods.cli", *map(str, argv)],
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    env=dict(fresh_env(), PYTHONHASHSEED=seed),
+                )
+                for seed in ("0", "1")
+            ]
+            first, second = ((*r.communicate(), r.returncode) for r in runs)
+            assert first == second, argv
+            assert b"Traceback" not in first[1], argv

@@ -156,6 +156,36 @@ class TestGraphBasics:
         assert len(g) == 1 and len(dup) == 2
         assert (B, P, A) not in g
 
+    @pytest.mark.parametrize("grown", ["copy", "original"])
+    def test_copy_shares_no_index_list(self, grown):
+        c, v = Iri("urn:c"), Literal("v")
+        g = Graph().add(A, P, B).add(B, Q, v)
+        dup = g.copy()
+        target, other = (dup, g) if grown == "copy" else (g, dup)
+        patterns = list(itertools.product([None, A, B, c], [None, P, Q], [None, A, B, c, v]))
+        before = {pattern: other.match(*pattern) for pattern in patterns}
+        added = [
+            (A, Q, c),  # same subject as (A, P, B)
+            (c, P, A),  # same predicate
+            (c, Q, B),  # same object
+            (A, P, c),  # same subject and predicate
+            (c, P, B),  # same predicate and object
+        ]
+        for triple in added:
+            target.add(*triple)
+        assert {pattern: other.match(*pattern) for pattern in patterns} == before
+        assert len(other) == 2 and len(target) == 7
+        assert not any(triple in other for triple in added)
+
+    def test_id_surface_agrees_with_match(self):
+        g = Graph().add(A, P, B).add(B, Q, Literal("v")).add(A, P, BlankNode("x"))
+        assert g.term_id(Iri("urn:never")) is None
+        for s in (None, A, B):
+            for p in (None, P, Q):
+                ids = [g.term_id(t) if t is not None else -1 for t in (s, p, None)]
+                got = [Triple(*map(g.term, t)) for t in g.match_ids(*ids)]
+                assert sorted(got, key=triple_sort_key) == g.match(s, p)
+
     def test_fresh_blank_sequence(self):
         g = Graph()
         labels = [g.fresh_blank().label for _ in range(1000)]

@@ -130,6 +130,11 @@ class TestBaseIri:
         with pytest.raises(VocabularyError):
             VocabularyRegistry("")
 
+    @pytest.mark.parametrize("base", ["a b", "http://x/>", "<http://x/", "http://x/\t"])
+    def test_base_failing_iri_text_rule_rejected(self, base):
+        with pytest.raises(VocabularyError, match="invalid base IRI"):
+            VocabularyRegistry(base)
+
 
 class TestJsonDump:
     def test_round_trips_through_json(self, reg):
