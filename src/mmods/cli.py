@@ -76,14 +76,23 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _map_mods(path: str, registry) -> Graph:
-    """The graph of a MODS file; mapping warnings go to stderr."""
+def _map_mods(path: str, registry, record_ids: set) -> Graph:
+    """The graph of a MODS file; mapping warnings go to stderr.
+
+    `record_ids` holds the record IDs of the inputs mapped before this one
+    into the same output; the file's own are added to it.  An ID already
+    there is an error, as a repeat within the file is.
+    """
     try:
         result = map_record(parse_mods_xml(_read_bytes(path), source=path), registry)
     except ModsParseError as exc:
         raise _CliError(EXIT_PARSE, str(exc)) from exc
     except MappingError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
+    for record_id in result.record_ids:
+        if record_id in record_ids:
+            raise _CliError(EXIT_PARSE, f"{path}: duplicate record ID {record_id!r}")
+    record_ids.update(result.record_ids)
     for warning in result.warnings:
         _warn(f"{path}: {warning}")
     return result.graph
@@ -98,9 +107,14 @@ def _read_graph_file(path: str) -> Graph:
 
 
 def _merge(graphs: list[Graph]) -> Graph:
-    """Union of several graphs with per-input blank node renaming."""
-    merged = Graph()
-    for graph in graphs:
+    """The first graph, with every later one added into it.
+
+    A later graph's blank nodes are renamed to labels fresh in the first, so
+    blank nodes of different inputs stay apart.  With one input, that graph
+    itself is the result.
+    """
+    merged = graphs[0]
+    for graph in graphs[1:]:
         renamed: dict = {}
 
         def fresh(term):
@@ -123,7 +137,8 @@ def _serialize_graph(graph: Graph, registry, fmt: str) -> str:
 
 def _cmd_convert(args) -> int:
     registry = _registry(args)
-    graphs = [_map_mods(path, registry) for path in args.inputs]
+    record_ids: set = set()
+    graphs = [_map_mods(path, registry, record_ids) for path in args.inputs]
     _write_output(_serialize_graph(_merge(graphs), registry, args.format), args.out)
     return EXIT_OK
 
@@ -134,7 +149,7 @@ def _load_for_validation(path: str, args, registry) -> Graph:
         fmt = "nt" if path.endswith(".nt") else "xml"
     if fmt == "nt":
         return _read_graph_file(path)
-    return _map_mods(path, registry)
+    return _map_mods(path, registry, set())
 
 
 def _cmd_validate(args) -> int:

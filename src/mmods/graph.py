@@ -1,8 +1,9 @@
-"""Terms, triples, and the in-memory graph.
+"""Terms, the in-memory graph and its id store, saturation, canonicalization.
 
-A Graph has set semantics: adding a triple twice leaves one copy.  Terms are
-interned to integer ids so pattern matching runs on the id-level store in
-_core_py; term_id, term and match_ids expose that level to the validator.
+A Graph has set semantics: adding a triple twice leaves one copy.  It is the
+one store: terms are interned to integer ids, and pattern matching and
+rule saturation (apply_rules) run on the id triples.  term_id, term and
+match_ids expose that level to the validator.
 
 canonicalize() produces a text form shared by exactly the graphs that are
 isomorphic under blank-node renaming, so graph comparison is string equality.
@@ -25,7 +26,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from ._core_py import WILDCARD, TripleStore, saturate
+# The id that matches any term in match_ids.
+WILDCARD = -1
 
 
 class GraphError(ValueError):
@@ -39,7 +41,10 @@ OWL_NS = "http://www.w3.org/2002/07/owl#"
 
 # "\s" matches exactly the characters for which str.isspace() is true.
 _WHITESPACE = re.compile(r"\s")
-_NOT_IRI_TEXT = re.compile(r"[\s<>]")
+# IRI text follows N-Triples IRIREF: no U+0000-U+0020 and none of <>"{}|^`\
+# (https://www.w3.org/TR/n-triples/#grammar-production-IRIREF), nor any other
+# whitespace.
+_NOT_IRI_TEXT = re.compile(r'[\s\x00-\x20<>"{}|^`\\]')
 _NOT_BLANK_LABEL = re.compile(r"[\s:]")
 
 
@@ -156,12 +161,22 @@ def format_triple(t: Triple) -> str:
 
 
 class Graph:
-    """Mutable triple set with interned terms and indexed pattern matching."""
+    """Mutable triple set with interned terms and indexed pattern matching.
+
+    Terms are interned to integer ids.  The id triples are the keys of one
+    insertion-ordered dict; five indexes map a subject, predicate, object,
+    (subject, predicate) or (predicate, object) id to the triples holding it.
+    """
 
     def __init__(self):
         self._terms: list[Term] = []
         self._ids: dict[Term, int] = {}
-        self._store = TripleStore()
+        self._triples: dict[tuple[int, int, int], None] = {}
+        self._by_s: dict[int, list[tuple[int, int, int]]] = {}
+        self._by_p: dict[int, list[tuple[int, int, int]]] = {}
+        self._by_o: dict[int, list[tuple[int, int, int]]] = {}
+        self._by_sp: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        self._by_po: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         self._blank_counter = 0
 
     def _intern(self, term: Term) -> int:
@@ -172,6 +187,19 @@ class Graph:
             self._ids[term] = tid
         return tid
 
+    def _add_ids(self, s: int, p: int, o: int) -> bool:
+        """Insert an id triple; returns True when it was not present before."""
+        t = (s, p, o)
+        if t in self._triples:
+            return False
+        self._triples[t] = None
+        self._by_s.setdefault(s, []).append(t)
+        self._by_p.setdefault(p, []).append(t)
+        self._by_o.setdefault(o, []).append(t)
+        self._by_sp.setdefault((s, p), []).append(t)
+        self._by_po.setdefault((p, o), []).append(t)
+        return True
+
     def add(self, s: Node, p: Iri, o: Term) -> "Graph":
         if not isinstance(s, (Iri, BlankNode)):
             raise GraphError(f"subject must be an IRI or blank node: {s!r}")
@@ -179,16 +207,16 @@ class Graph:
             raise GraphError(f"predicate must be an IRI: {p!r}")
         if not isinstance(o, (Iri, BlankNode, Literal)):
             raise GraphError(f"object must be a term: {o!r}")
-        self._store.add(self._intern(s), self._intern(p), self._intern(o))
+        self._add_ids(self._intern(s), self._intern(p), self._intern(o))
         return self
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._triples)
 
     def __contains__(self, triple: tuple) -> bool:
         s, p, o = triple
         try:
-            return self._store.contains(self._ids[s], self._ids[p], self._ids[o])
+            return (self._ids[s], self._ids[p], self._ids[o]) in self._triples
         except KeyError:
             return False
 
@@ -198,7 +226,7 @@ class Graph:
     def triples(self) -> list[Triple]:
         """All triples in insertion order."""
         terms = self._terms
-        return [Triple(terms[s], terms[p], terms[o]) for s, p, o in self._store.triples()]
+        return [Triple(terms[s], terms[p], terms[o]) for s, p, o in self._triples]
 
     def match(
         self,
@@ -219,7 +247,7 @@ class Graph:
         terms = self._terms
         found = [
             Triple(terms[ts], terms[tp], terms[to])
-            for ts, tp, to in self._store.match(ids[0], ids[1], ids[2])
+            for ts, tp, to in self.match_ids(ids[0], ids[1], ids[2])
         ]
         found.sort(key=triple_sort_key)
         return found
@@ -235,7 +263,23 @@ class Graph:
 
     def match_ids(self, s: int, p: int, o: int) -> list[tuple[int, int, int]]:
         """Id triples matching the pattern (WILDCARD, -1, = any), unsorted."""
-        return self._store.match(s, p, o)
+        if s != WILDCARD and p != WILDCARD:
+            cands = self._by_sp.get((s, p), ())
+            if o == WILDCARD:
+                return list(cands)
+            return [t for t in cands if t[2] == o]
+        if p != WILDCARD and o != WILDCARD:
+            return list(self._by_po.get((p, o), ()))  # s is a wildcard here
+        if s != WILDCARD:
+            cands = self._by_s.get(s, ())
+            if o == WILDCARD:
+                return list(cands)
+            return [t for t in cands if t[2] == o]
+        if p != WILDCARD:
+            return list(self._by_p.get(p, ()))
+        if o != WILDCARD:
+            return list(self._by_o.get(o, ()))
+        return list(self._triples)
 
     def fresh_blank(self) -> BlankNode:
         """A blank node whose label is unused in this graph: b0, b1, ..."""
@@ -246,10 +290,22 @@ class Graph:
                 return node
 
     def copy(self) -> "Graph":
+        """An independent graph with the same terms and triples, in O(n).
+
+        The containers are copied as they stand instead of re-adding every
+        triple.  Every index gets fresh member lists, so adding to either
+        graph never shows in the other; the immutable terms and id triples
+        themselves are shared.
+        """
         dup = Graph()
         dup._terms = list(self._terms)
         dup._ids = dict(self._ids)
-        dup._store = self._store.copy()
+        dup._triples = dict(self._triples)
+        dup._by_s = _copy_index(self._by_s)
+        dup._by_p = _copy_index(self._by_p)
+        dup._by_o = _copy_index(self._by_o)
+        dup._by_sp = _copy_index(self._by_sp)
+        dup._by_po = _copy_index(self._by_po)
         dup._blank_counter = self._blank_counter
         return dup
 
@@ -263,14 +319,40 @@ class Graph:
         A chain (p1, p2, inverted, q) asserts (a, q, c) for every
         a -p1-> b -p2-> c, or for every a -p1-> b and c -p2-> b when
         inverted.  A subclass pair (sub, sup) asserts (x, rdf:type, sup)
-        for every (x, rdf:type, sub).
+        for every (x, rdf:type, sub).  Rules only connect existing nodes,
+        so the loop terminates.
         """
         chain_ids = [
             (self._intern(p1), self._intern(p2), bool(inv), self._intern(q))
             for p1, p2, inv, q in chains
         ]
         pair_ids = [(self._intern(a), self._intern(b)) for a, b in subclass_pairs]
-        return saturate(self._store, chain_ids, pair_ids, self._intern(RDF_TYPE))
+        rdf_type = self._intern(RDF_TYPE)
+        match, add = self.match_ids, self._add_ids
+        total = 0
+        while True:
+            added = 0
+            for p1, p2, inverted, implied in chain_ids:
+                for a, _, b in match(WILDCARD, p1, WILDCARD):
+                    if inverted:
+                        for c, _, _ in match(WILDCARD, p2, b):
+                            if add(a, implied, c):
+                                added += 1
+                    else:
+                        for _, _, c in match(b, p2, WILDCARD):
+                            if add(a, implied, c):
+                                added += 1
+            for sub, sup in pair_ids:
+                for x, _, _ in match(WILDCARD, rdf_type, sub):
+                    if add(x, rdf_type, sup):
+                        added += 1
+            if not added:
+                return total
+            total += added
+
+
+def _copy_index(index: dict) -> dict:
+    return {key: list(members) for key, members in index.items()}
 
 
 def instances_of(graph: Graph, class_iri: Iri, catalog=None) -> list[Node]:
@@ -418,7 +500,7 @@ class _Node:
         return None
 
 
-def _canonical_doc(store: TripleStore, terms: list[Term]) -> tuple[str, dict[int, int]]:
+def _canonical_doc(graph: Graph) -> tuple[str, dict[int, int]]:
     """The least canonical document and the blank id -> N map (label cN) behind it.
 
     Colour refinement splits the blanks by their neighbourhoods.  While a
@@ -432,7 +514,7 @@ def _canonical_doc(store: TripleStore, terms: list[Term]) -> tuple[str, dict[int
     path.  Every pruned subtree is an image of a searched one, so the result
     is the least document over the whole tree.
     """
-    triples = store.triples()
+    terms, triples = graph._terms, list(graph._triples)
     ids = {x for t in triples for x in t}
     blank_ids = sorted(
         (x for x in ids if isinstance(terms[x], BlankNode)), key=lambda x: terms[x].label
@@ -455,9 +537,10 @@ def _canonical_doc(store: TripleStore, terms: list[Term]) -> tuple[str, dict[int
     def preserves_triples(moved: dict[int, int]) -> bool:
         rename = {blank_ids[b]: blank_ids[c] for b, c in moved.items()}
         return all(
-            store.contains(rename.get(s, s), p, rename.get(o, o))
+            (rename.get(s, s), p, rename.get(o, o)) in graph._triples
             for x in rename
-            for s, p, o in store.match(x, WILDCARD, WILDCARD) + store.match(WILDCARD, WILDCARD, x)
+            for s, p, o in graph.match_ids(x, WILDCARD, WILDCARD)
+            + graph.match_ids(WILDCARD, WILDCARD, x)
         )
 
     colors = _refine([""] * len(blank_ids), fixed, slots)
@@ -523,13 +606,13 @@ def _canonical_doc(store: TripleStore, terms: list[Term]) -> tuple[str, dict[int
 
 def canonicalize(graph: Graph) -> str:
     """Canonical N-Triples text: equal strings iff the graphs are isomorphic."""
-    return _canonical_doc(graph._store, graph._terms)[0]
+    return _canonical_doc(graph)[0]
 
 
 def canonical_triples(graph: Graph) -> list[Triple]:
     """The graph's triples with blank nodes renamed as canonicalize names them."""
-    _, names = _canonical_doc(graph._store, graph._terms)
+    _, names = _canonical_doc(graph)
     terms = list(graph._terms)
     for x, i in names.items():
         terms[x] = BlankNode(f"c{i}")
-    return [Triple(terms[s], terms[p], terms[o]) for s, p, o in graph._store.triples()]
+    return [Triple(terms[s], terms[p], terms[o]) for s, p, o in graph._triples]

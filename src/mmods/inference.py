@@ -10,12 +10,8 @@ from .axioms import ConstraintCatalog
 from .graph import Graph
 
 
-def materialize(graph: Graph, catalog: ConstraintCatalog, registry=None) -> Graph:
-    """A new graph extended with every implied triple.
-
-    The registry argument is accepted for signature symmetry with validation
-    but is not needed: the catalog carries the rules as resolved IRIs.
-    """
+def materialize(graph: Graph, catalog: ConstraintCatalog) -> Graph:
+    """A new graph extended with every implied triple."""
     result = graph.copy()
     result.apply_rules(catalog.chains(), catalog.subclass_pairs())
     return result

@@ -52,10 +52,12 @@ class MappingError(ValueError):
 
 @dataclass
 class MappingResult:
-    """A mapped graph plus the warnings gathered while producing it."""
+    """A mapped graph, the warnings gathered while producing it, and the
+    record IDs it carries in document order."""
 
     graph: Graph
     warnings: list[str] = field(default_factory=list)
+    record_ids: list[str] = field(default_factory=list)
 
 
 class _RecordContext:
@@ -361,7 +363,7 @@ def map_record(document: ModsDocument, registry: VocabularyRegistry, base_iri=No
     graph = Graph()
     warnings: list[str] = []
     org_table: dict = {}
-    record_ids: set[str] = set()
+    record_ids: dict[str, None] = {}  # ordered, for MappingResult.record_ids
     for record in document.records():
         record_id = record.attrs.get("ID", "")
         if record_id:
@@ -371,7 +373,7 @@ def map_record(document: ModsDocument, registry: VocabularyRegistry, base_iri=No
                 raise MappingError(f"invalid record ID {record_id!r}") from None
             if record_id in record_ids:
                 raise MappingError(f"duplicate record ID {record_id!r}")
-            record_ids.add(record_id)
+            record_ids[record_id] = None
         ctx = _RecordContext(
             graph=graph,
             registry=registry,
@@ -381,4 +383,4 @@ def map_record(document: ModsDocument, registry: VocabularyRegistry, base_iri=No
             org_table=org_table,
         )
         _map_record_element(record, ctx)
-    return MappingResult(graph=graph, warnings=warnings)
+    return MappingResult(graph=graph, warnings=warnings, record_ids=list(record_ids))

@@ -3,19 +3,26 @@
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import time
+from xml.sax.saxutils import quoteattr
 
 import pytest
 
 import mmods
-from mmods.cli import main
-from mmods.graph import canonicalize
+from mmods.cli import _merge, main
+from mmods.graph import RDF_TYPE, BlankNode, Graph, canonicalize
+from mmods.mapping import map_record
+from mmods.modsxml import parse_mods_xml
 from mmods.serialize import read_ntriples
+from mmods.vocab import VocabularyRegistry
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# The characters N-Triples IRIREF excludes that an XML attribute can carry;
+# XML 1.0 admits no other character below U+0020.
+IRIREF_EXCLUDED_XML = ["\t", "\n", "\r", " ", "<", ">", '"', "{", "}", "|", "^", "`", "\\"]
 
 
 def run(capsys, *argv):
@@ -107,17 +114,25 @@ class TestConvert:
         assert "<https://graphs.example/x/rec1/agent0>" in out
         assert "<https://graphs.example/x/Agent>" in out
 
-    def test_backslash_record_id_same_iris_in_turtle(self, capsys, tmp_path):
-        # Both writers print IRIs as stored; Turtle must not unescape them.
+    def test_backslash_record_id_exit_1(self, capsys, tmp_path):
+        # A backslash cannot stand in an N-Triples IRI, so no writer may mint
+        # one from a record ID: both formats reject the record.
         for record_id in ("r\\q", "r\\u0041"):
             record = tmp_path / "backslash.xml"
             record.write_text(f'<mods ID="{record_id}"><name><namePart>N</namePart></name></mods>')
-            minted = re.compile("<([^>]*/" + re.escape(record_id) + "/[^>]*)>")
-            nt_code, nt, _ = run(capsys, "convert", record, "--format", "nt")
-            ttl_code, ttl, err = run(capsys, "convert", record, "--format", "ttl")
-            assert (nt_code, ttl_code) == (0, 0)
-            assert "Traceback" not in err
-            assert set(minted.findall(ttl)) == set(minted.findall(nt)) != set()
+            for fmt in ("nt", "ttl"):
+                code, out, err = run(capsys, "convert", record, "--format", fmt)
+                assert (code, out) == (1, "")
+                assert err == f"error: {record}: invalid record ID {record_id!r}\n"
+
+    @pytest.mark.parametrize("char", IRIREF_EXCLUDED_XML, ids=ascii)
+    def test_record_id_with_iriref_excluded_character_exit_1(self, capsys, tmp_path, char):
+        record_id = f"r{char}1"
+        record = tmp_path / "excluded.xml"
+        record.write_text(f"<mods ID={quoteattr(record_id)}><name><namePart>N</namePart></name></mods>")
+        code, out, err = run(capsys, "convert", record, "--format", "nt")
+        assert (code, out) == (1, "")
+        assert err == f"error: {record}: invalid record ID {record_id!r}\n"
 
     @pytest.mark.parametrize("command", ["convert", "validate"])
     def test_invalid_record_id_exit_1(self, capsys, tmp_path, command):
@@ -140,6 +155,43 @@ class TestConvert:
         assert code == 1
         assert not out
         assert err == f"error: {record}: duplicate record ID 'r1'\n"
+
+    def test_duplicate_record_id_across_inputs_exit_1(self, capsys, tmp_path):
+        # Two inputs of one convert must not merge two records into one node.
+        first, second = tmp_path / "a.xml", tmp_path / "b.xml"
+        first.write_text('<mods ID="r1"><name type="personal"><namePart>Ada</namePart></name></mods>')
+        second.write_text(
+            '<modsCollection><mods ID="r0"/>'
+            '<mods ID="r1"><name type="corporate"><namePart>Bob</namePart></name></mods>'
+            "</modsCollection>"
+        )
+        code, out, err = run(capsys, "convert", first, second, "--format", "nt")
+        assert (code, out) == (1, "")
+        assert err == f"error: {second}: duplicate record ID 'r1'\n"
+
+    def test_single_input_is_written_as_mapped(self):
+        graph = Graph().add(BlankNode("b0"), RDF_TYPE, BlankNode("b1"))
+        assert _merge([graph]) is graph
+        assert graph.triples() == [(BlankNode("b0"), RDF_TYPE, BlankNode("b1"))]
+
+    def test_id_less_inputs_stay_disjoint(self, capsys, tmp_path):
+        # The later input is added into the first one's graph: its blank
+        # nodes must get labels the first input does not use.
+        record = FIXTURES / "conference.xml"
+        graph = map_record(parse_mods_xml(record.read_bytes()), VocabularyRegistry()).graph
+        assert all(isinstance(t.s, BlankNode) for t in graph)
+        union = Graph()
+        for tag in ("x", "y"):
+            for triple in graph:
+                union.add(*(BlankNode(tag + t.label) if isinstance(t, BlankNode) else t for t in triple))
+        code, out, _ = run(capsys, "convert", record, record, "--format", "nt")
+        assert code == 0
+        assert len(read_ntriples(out)) == len(union) == 2 * len(graph)
+        assert out == canonicalize(union)
+        written = tmp_path / "twice.nt"
+        written.write_text(out)
+        code, _, err = run(capsys, "infer", written, "--format", "nt")
+        assert (code, err) == (0, "")
 
     def test_many_identical_names_finish_fast(self, capsys, tmp_path):
         # Eight interchangeable blank name chains: 8! labellings without pruning.

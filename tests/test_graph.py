@@ -33,6 +33,9 @@ from mmods.graph import (
 
 from oracles import canonicalize_exhaustive
 
+# The characters N-Triples IRIREF excludes from IRI text.
+IRIREF_EXCLUDED = [chr(c) for c in range(0x21)] + list('<>"{}|^`\\')
+
 P = Iri("urn:p")
 Q = Iri("urn:q")
 A = Iri("urn:a")
@@ -82,6 +85,15 @@ class TestTerms:
             Iri("urn:has space")
         with pytest.raises(GraphError):
             Iri("urn:<angle>")
+
+    @pytest.mark.parametrize("char", IRIREF_EXCLUDED, ids=lambda c: f"U+{ord(c):04X}")
+    def test_iri_rejects_iriref_excluded_character(self, char):
+        with pytest.raises(GraphError, match="invalid IRI"):
+            Iri(f"urn:a{char}b")
+
+    def test_iri_keeps_other_characters(self):
+        for text in ("urn:a'b", "urn:%7B", "urn:é/Ⅷ", "urn:\U0001F600", "urn:a\x7f"):
+            assert Iri(text).value == text
 
     def test_blank_label_rules(self):
         assert BlankNode("b0").label == "b0"

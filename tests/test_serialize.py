@@ -226,6 +226,15 @@ class TestReadNTriples:
             read_ntriples("# first\n" + line + "\n")
         assert str(err.value).startswith(f"line 2: {message}")
 
+    @pytest.mark.parametrize(
+        "point", [*range(0x21), *map(ord, '<>"{}|^`\\')], ids=lambda c: f"U+{c:04X}"
+    )
+    def test_escaped_iri_decoding_to_an_excluded_character(self, point):
+        # IRIREF excludes the character even when a \u escape writes it.
+        with pytest.raises(NTriplesError) as err:
+            read_ntriples(f"<urn:s> <urn:p> <urn:o> .\n<urn:s> <urn:p> <urn:a\\u{point:04X}> .\n")
+        assert str(err.value) == f"line 2: invalid IRI: {'urn:a' + chr(point)!r}"
+
 
 # Generated N-Triples lines: mostly well-formed terms built from pieces
 # that reach every branch of the grammar (escapes, blank labels with dots

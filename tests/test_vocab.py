@@ -130,7 +130,11 @@ class TestBaseIri:
         with pytest.raises(VocabularyError):
             VocabularyRegistry("")
 
-    @pytest.mark.parametrize("base", ["a b", "http://x/>", "<http://x/", "http://x/\t"])
+    @pytest.mark.parametrize(
+        "base",
+        ["a b", "http://x/>", "<http://x/", "http://x/\t"]
+        + [f"http://x/{char}/" for char in '"{}|^`\\'],
+    )
     def test_base_failing_iri_text_rule_rejected(self, base):
         with pytest.raises(VocabularyError, match="invalid base IRI"):
             VocabularyRegistry(base)
