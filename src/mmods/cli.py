@@ -16,7 +16,6 @@ import sys
 
 from .axioms import catalog
 from .graph import BlankNode, Graph
-from .inference import materialize
 from .mapping import MappingError, map_record
 from .modsxml import ModsParseError, parse_mods_xml
 from .serialize import (
@@ -107,25 +106,20 @@ def _read_graph_file(path: str) -> Graph:
 
 
 def _merge(graphs: list[Graph]) -> Graph:
-    """The first graph, with every later one added into it.
+    """The first graph, with every later one added into it on ids.
 
-    A later graph's blank nodes are renamed to labels fresh in the first, so
-    blank nodes of different inputs stay apart.  With one input, that graph
-    itself is the result.
+    Each term of a later graph is mapped once, its blank nodes to blank
+    nodes fresh in the first, so blank nodes of different inputs stay apart.
+    With one input, that graph itself is the result.
     """
     merged = graphs[0]
     for graph in graphs[1:]:
-        renamed: dict = {}
-
-        def fresh(term):
-            if not isinstance(term, BlankNode):
-                return term
-            if term.label not in renamed:
-                renamed[term.label] = merged.fresh_blank()
-            return renamed[term.label]
-
-        for s, p, o in graph.triples():
-            merged.add(fresh(s), p, fresh(o))
+        ids = [
+            merged._intern(merged.fresh_blank() if isinstance(term, BlankNode) else term)
+            for term in graph._terms
+        ]
+        for s, p, o in graph._triples:
+            merged._add_ids(ids[s], ids[p], ids[o])
     return merged
 
 
@@ -157,16 +151,12 @@ def _cmd_validate(args) -> int:
     rules = catalog(registry)
     reports = []
     for path in args.inputs:
+        # The graph is this command's own, so it is saturated in place.
         graph = _load_for_validation(path, args, registry)
+        if not args.no_infer:
+            graph.apply_rules(rules.chains(), rules.subclass_pairs())
         reports.append(
-            validate(
-                graph,
-                rules,
-                registry,
-                infer=not args.no_infer,
-                strict=args.strict,
-                source=path,
-            )
+            validate(graph, rules, registry, infer=False, strict=args.strict, source=path)
         )
     if args.report == "json":
         if len(reports) == 1:
@@ -189,9 +179,8 @@ def _cmd_infer(args) -> int:
     registry = _registry(args)
     rules = catalog(registry)
     graph = _read_graph_file(args.input)
-    _write_output(
-        _serialize_graph(materialize(graph, rules), registry, args.format), args.out
-    )
+    graph.apply_rules(rules.chains(), rules.subclass_pairs())  # in place: the graph is ours
+    _write_output(_serialize_graph(graph, registry, args.format), args.out)
     return EXIT_OK
 
 

@@ -2,8 +2,10 @@
 
 A Graph has set semantics: adding a triple twice leaves one copy.  It is the
 one store: terms are interned to integer ids, and pattern matching and
-rule saturation (apply_rules) run on the id triples.  term_id, term and
-match_ids expose that level to the validator.
+rule saturation (apply_rules) run on the id triples.  Its indexes are built
+on first use, so building and writing a graph maintains none, and
+saturation builds only the three its rules read.  term_id, term and
+match_ids expose the id level to the validator.
 
 canonicalize() produces a text form shared by exactly the graphs that are
 isomorphic under blank-node renaming, so graph comparison is string equality.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 # The id that matches any term in match_ids.
@@ -161,22 +164,21 @@ def format_triple(t: Triple) -> str:
 
 
 class Graph:
-    """Mutable triple set with interned terms and indexed pattern matching.
+    """Mutable triple set with interned terms and pattern matching on ids.
 
-    Terms are interned to integer ids.  The id triples are the keys of one
-    insertion-ordered dict; five indexes map a subject, predicate, object,
-    (subject, predicate) or (predicate, object) id to the triples holding it.
+    Terms are interned to integer ids, and the id triples are the keys of one
+    insertion-ordered dict.  An index maps the ids at some triple positions,
+    (1,) or (0, 1), say, to the triples holding them; match_ids builds each
+    in one pass the first time a pattern needs it, and later adds keep the
+    built ones current.  A graph that is only written builds none.
     """
 
     def __init__(self):
         self._terms: list[Term] = []
         self._ids: dict[Term, int] = {}
         self._triples: dict[tuple[int, int, int], None] = {}
-        self._by_s: dict[int, list[tuple[int, int, int]]] = {}
-        self._by_p: dict[int, list[tuple[int, int, int]]] = {}
-        self._by_o: dict[int, list[tuple[int, int, int]]] = {}
-        self._by_sp: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        self._by_po: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        # Triple positions -> (key of a triple, index from key to triples).
+        self._indexes: dict[tuple[int, ...], tuple[itemgetter, dict]] = {}
         self._blank_counter = 0
 
     def _intern(self, term: Term) -> int:
@@ -188,17 +190,28 @@ class Graph:
         return tid
 
     def _add_ids(self, s: int, p: int, o: int) -> bool:
-        """Insert an id triple; returns True when it was not present before."""
+        """Insert an id triple; returns True when it was not present before.
+
+        The ids must be the graph's own, with a node as subject and an IRI
+        as predicate: nothing here checks the positions, as add() does.
+        """
         t = (s, p, o)
         if t in self._triples:
             return False
         self._triples[t] = None
-        self._by_s.setdefault(s, []).append(t)
-        self._by_p.setdefault(p, []).append(t)
-        self._by_o.setdefault(o, []).append(t)
-        self._by_sp.setdefault((s, p), []).append(t)
-        self._by_po.setdefault((p, o), []).append(t)
+        for key, index in self._indexes.values():
+            index.setdefault(key(t), []).append(t)
         return True
+
+    def _index(self, positions: tuple[int, ...]) -> dict:
+        """The index on the given triple positions, built on first use."""
+        built = self._indexes.get(positions)
+        if built is None:
+            key, index = itemgetter(*positions), {}
+            for t in self._triples:
+                index.setdefault(key(t), []).append(t)
+            built = self._indexes[positions] = (key, index)
+        return built[1]
 
     def add(self, s: Node, p: Iri, o: Term) -> "Graph":
         if not isinstance(s, (Iri, BlankNode)):
@@ -264,21 +277,21 @@ class Graph:
     def match_ids(self, s: int, p: int, o: int) -> list[tuple[int, int, int]]:
         """Id triples matching the pattern (WILDCARD, -1, = any), unsorted."""
         if s != WILDCARD and p != WILDCARD:
-            cands = self._by_sp.get((s, p), ())
+            cands = self._index((0, 1)).get((s, p), ())
             if o == WILDCARD:
                 return list(cands)
             return [t for t in cands if t[2] == o]
         if p != WILDCARD and o != WILDCARD:
-            return list(self._by_po.get((p, o), ()))  # s is a wildcard here
+            return list(self._index((1, 2)).get((p, o), ()))  # s is a wildcard here
         if s != WILDCARD:
-            cands = self._by_s.get(s, ())
+            cands = self._index((0,)).get(s, ())
             if o == WILDCARD:
                 return list(cands)
             return [t for t in cands if t[2] == o]
         if p != WILDCARD:
-            return list(self._by_p.get(p, ()))
+            return list(self._index((1,)).get(p, ()))
         if o != WILDCARD:
-            return list(self._by_o.get(o, ()))
+            return list(self._index((2,)).get(o, ()))
         return list(self._triples)
 
     def fresh_blank(self) -> BlankNode:
@@ -292,20 +305,13 @@ class Graph:
     def copy(self) -> "Graph":
         """An independent graph with the same terms and triples, in O(n).
 
-        The containers are copied as they stand instead of re-adding every
-        triple.  Every index gets fresh member lists, so adding to either
-        graph never shows in the other; the immutable terms and id triples
-        themselves are shared.
+        The term list, the id map and the triple dict are copied as they
+        stand; the copy builds its own indexes when it is first matched.
         """
         dup = Graph()
         dup._terms = list(self._terms)
         dup._ids = dict(self._ids)
         dup._triples = dict(self._triples)
-        dup._by_s = _copy_index(self._by_s)
-        dup._by_p = _copy_index(self._by_p)
-        dup._by_o = _copy_index(self._by_o)
-        dup._by_sp = _copy_index(self._by_sp)
-        dup._by_po = _copy_index(self._by_po)
         dup._blank_counter = self._blank_counter
         return dup
 
@@ -349,10 +355,6 @@ class Graph:
             if not added:
                 return total
             total += added
-
-
-def _copy_index(index: dict) -> dict:
-    return {key: list(members) for key, members in index.items()}
 
 
 def instances_of(graph: Graph, class_iri: Iri, catalog=None) -> list[Node]:

@@ -60,39 +60,59 @@ class MappingResult:
     record_ids: list[str] = field(default_factory=list)
 
 
-class _RecordContext:
-    """Mutable state while mapping one record.
+class _Ids(dict):
+    """Registry names of one kind -> their ids in one graph, interned on first use."""
 
-    The organization table and warning list are shared across the records
-    of one document; node minting and the item handle are per record.
+    def __init__(self, intern, resolve):
+        super().__init__()
+        self._intern, self._resolve = intern, resolve
+
+    def __missing__(self, name: str) -> int:
+        tid = self[name] = self._intern(self._resolve(name))
+        return tid
+
+
+class _DocumentContext:
+    """Mutable state while mapping one document, on the graph's ids.
+
+    The graph, the registry terms' ids, the organization table and the
+    warning list are shared by the document's records; node minting, the
+    name parts and the item are per record (start_record resets them).
+    Each minted node and literal is interned once, when it is created.
     """
 
-    def __init__(self, graph, registry, base_iri, record_id, warnings, org_table):
+    def __init__(self, graph, registry, base_iri):
         self.graph = graph
+        self.intern, self.add = graph._intern, graph._add_ids
         self.registry = registry
         self.base_iri = base_iri
-        self.record_id = record_id
-        self.warnings = warnings
-        self.org_table = org_table
-        self.counters: dict[str, int] = {}
-        self.name_parts: set = set()
-        self.item = self.mint("item")
-        graph.add(self.item, RDF_TYPE, registry.cls("ModsItem"))
+        self.cls = _Ids(self.intern, registry.cls)
+        self.prop = _Ids(self.intern, registry.prop)
+        self.individual = _Ids(self.intern, registry.individual)
+        self.rdf_type = self.intern(RDF_TYPE)
+        self.warnings: list[str] = []
+        self.org_table: dict[str, int] = {}
 
-    def mint(self, kind: str):
+    def start_record(self, record_id: str) -> None:
+        self.record_id = record_id
+        self.counters: dict[str, int] = {}
+        self.name_parts: set[int] = set()
+        self.item = self.node("item", "ModsItem")
+
+    def mint(self, kind: str) -> int:
         n = self.counters.get(kind, 0)
         self.counters[kind] = n + 1
         if self.record_id:
-            return Iri(f"{self.base_iri}{self.record_id}/{kind}{n}")
-        return self.graph.fresh_blank()
+            return self.intern(Iri(f"{self.base_iri}{self.record_id}/{kind}{n}"))
+        return self.intern(self.graph.fresh_blank())
 
     def warn(self, message: str) -> None:
         prefix = f"record {self.record_id}: " if self.record_id else ""
         self.warnings.append(prefix + message)
 
-    def node(self, kind: str, class_name: str):
+    def node(self, kind: str, class_name: str) -> int:
         new = self.mint(kind)
-        self.graph.add(new, RDF_TYPE, self.registry.cls(class_name))
+        self.add(new, self.rdf_type, self.cls[class_name])
         return new
 
 
@@ -104,7 +124,7 @@ def _individual_name(value: str) -> str:
     return "".join(word[:1].upper() + word[1:] for word in words)
 
 
-def _mint_vocab_individual(ctx: _RecordContext, vocab_name: str, value: str):
+def _mint_vocab_individual(ctx: _DocumentContext, vocab_name: str, value: str):
     """An individual for an open-vocabulary value not predefined.
 
     The individual is typed as the vocabulary class so membership checks
@@ -115,25 +135,24 @@ def _mint_vocab_individual(ctx: _RecordContext, vocab_name: str, value: str):
         ctx.warn(f"cannot derive a {vocab_name} individual from {value!r}, skipped")
         return None
     # Vocabulary extensions live under the registry base, not the node base.
-    iri = Iri(ctx.registry.base_iri + local)
-    ctx.graph.add(iri, RDF_TYPE, ctx.registry.cls(vocab_name))
+    iri = ctx.intern(Iri(ctx.registry.base_iri + local))
+    ctx.add(iri, ctx.rdf_type, ctx.cls[vocab_name])
     ctx.warn(f"minted {vocab_name} individual {local!r} for value {value!r}")
     return iri
 
 
-def map_common_attributes(element: ModsElement, owner, ctx: _RecordContext) -> None:
+def map_common_attributes(element: ModsElement, owner, ctx: _DocumentContext) -> None:
     """Shared attribute handling: display label, link, and language groups.
 
     At most one link node and one language node are created per element;
     nothing is added when none of the attributes are present.
     """
-    reg = ctx.registry
-    graph = ctx.graph
+    add = ctx.add
     attrs = element.attrs
 
     label = attrs.get("displayLabel")
     if label is not None:
-        graph.add(owner, reg.prop("hasDisplayLabel"), Literal(label))
+        add(owner, ctx.prop["hasDisplayLabel"], ctx.intern(Literal(label)))
 
     element_id = attrs.get("ID")
     if element_id is not None and owner in ctx.name_parts:
@@ -144,11 +163,11 @@ def map_common_attributes(element: ModsElement, owner, ctx: _RecordContext) -> N
     href = attrs.get("xlink:href", attrs.get("href"))
     if element_id is not None or href is not None:
         link = ctx.node("linkAttributes", "LinkAttributes")
-        graph.add(owner, reg.prop("hasLinkAttributes"), link)
+        add(owner, ctx.prop["hasLinkAttributes"], link)
         if element_id is not None:
-            graph.add(link, reg.prop("hasID"), Literal(element_id))
+            add(link, ctx.prop["hasID"], ctx.intern(Literal(element_id)))
         if href is not None:
-            graph.add(link, reg.prop("hasHref"), Literal(href))
+            add(link, ctx.prop["hasHref"], ctx.intern(Literal(href)))
 
     langs = []
     for key in ("lang", "xml:lang"):
@@ -159,39 +178,37 @@ def map_common_attributes(element: ModsElement, owner, ctx: _RecordContext) -> N
     transliteration = attrs.get("transliteration")
     if langs or script is not None or transliteration is not None:
         lang_node = ctx.node("languageAttributes", "LanguageAttributes")
-        graph.add(owner, reg.prop("hasLanguageAttributes"), lang_node)
+        add(owner, ctx.prop["hasLanguageAttributes"], lang_node)
         for value in langs:
-            graph.add(lang_node, reg.prop("hasLang"), Literal(value))
+            add(lang_node, ctx.prop["hasLang"], ctx.intern(Literal(value)))
         if script is not None:
-            graph.add(lang_node, reg.prop("hasScript"), Literal(script))
+            add(lang_node, ctx.prop["hasScript"], ctx.intern(Literal(script)))
         if transliteration is not None:
-            graph.add(lang_node, reg.prop("hasTransliteration"), Literal(transliteration))
+            add(lang_node, ctx.prop["hasTransliteration"], ctx.intern(Literal(transliteration)))
 
 
-def _map_affiliation(text: str, agent, ctx: _RecordContext) -> None:
-    reg = ctx.registry
-    graph = ctx.graph
+def _map_affiliation(text: str, agent, ctx: _DocumentContext) -> None:
+    add = ctx.add
     org = ctx.org_table.get(text)
     if org is None:
         org = ctx.node("organization", "Organization")
         org_name = ctx.node("name", "Name")
         org_part = ctx.node("namePart", "NamePart")
         ctx.name_parts.add(org_part)
-        graph.add(org, reg.prop("hasName"), org_name)
-        graph.add(org_name, reg.prop("hasNamePart"), org_part)
-        graph.add(org_part, reg.prop("hasValue"), Literal(text))
+        add(org, ctx.prop["hasName"], org_name)
+        add(org_name, ctx.prop["hasNamePart"], org_part)
+        add(org_part, ctx.prop["hasValue"], ctx.intern(Literal(text)))
         ctx.org_table[text] = org
-    graph.add(agent, reg.prop("hasAffiliation"), org)
+    add(agent, ctx.prop["hasAffiliation"], org)
 
 
-def map_name(element: ModsElement, ctx: _RecordContext):
+def map_name(element: ModsElement, ctx: _DocumentContext):
     """One name element: agent, name, parts, roles, and related nodes."""
-    reg = ctx.registry
-    graph = ctx.graph
+    add = ctx.add
 
     agent = ctx.node("agent", "Agent")
     name = ctx.node("name", "Name")
-    graph.add(agent, reg.prop("hasName"), name)
+    add(agent, ctx.prop["hasName"], name)
 
     name_type = element.attrs.get("type")
     if name_type is not None:
@@ -199,16 +216,16 @@ def map_name(element: ModsElement, ctx: _RecordContext):
         if individual is None:
             ctx.warn(f"unknown name type {name_type!r}, skipped")
         else:
-            graph.add(name, reg.prop("hasNameType"), reg.individual(individual))
+            add(name, ctx.prop["hasNameType"], ctx.individual[individual])
 
     if element.attrs.get("usage") == "primary":
-        graph.add(name, reg.prop("isPrimaryInstance"), reg.individual("Primary"))
+        add(name, ctx.prop["isPrimaryInstance"], ctx.individual["Primary"])
 
     authority = element.attrs.get("authority")
     if authority is not None:
         info = ctx.node("authorityInfo", "AuthorityInfo")
-        graph.add(name, reg.prop("hasAuthorityInfo"), info)
-        graph.add(info, reg.prop("hasValue"), Literal(authority))
+        add(name, ctx.prop["hasAuthorityInfo"], info)
+        add(info, ctx.prop["hasValue"], ctx.intern(Literal(authority)))
 
     map_common_attributes(element, name, ctx)
 
@@ -219,15 +236,15 @@ def map_name(element: ModsElement, ctx: _RecordContext):
                 continue
             part = ctx.node("namePart", "NamePart")
             ctx.name_parts.add(part)
-            graph.add(name, reg.prop("hasNamePart"), part)
-            graph.add(part, reg.prop("hasValue"), Literal(child.text))
+            add(name, ctx.prop["hasNamePart"], part)
+            add(part, ctx.prop["hasValue"], ctx.intern(Literal(child.text)))
             part_type = child.attrs.get("type")
             if part_type is not None:
                 individual = NAME_PART_TYPES.get(part_type)
                 if individual is None:
                     ctx.warn(f"namePart type {part_type!r} has no individual, left untyped")
                 else:
-                    graph.add(part, reg.prop("hasNamePartType"), reg.individual(individual))
+                    add(part, ctx.prop["hasNamePartType"], ctx.individual[individual])
             map_common_attributes(child, part, ctx)
         elif child.tag == "role":
             terms = child.find_all("roleTerm")
@@ -238,10 +255,10 @@ def map_name(element: ModsElement, ctx: _RecordContext):
                     ctx.warn("empty roleTerm skipped")
                     continue
                 role = ctx.node("agentRole", "AgentRole")
-                graph.add(role, reg.prop("hasValue"), Literal(term.text))
-                graph.add(agent, reg.prop("assumesAgentRole"), role)
-                graph.add(role, reg.prop("hasRoleUnderName"), name)
-                graph.add(ctx.item, reg.prop("providesAgentRole"), role)
+                add(role, ctx.prop["hasValue"], ctx.intern(Literal(term.text)))
+                add(agent, ctx.prop["assumesAgentRole"], role)
+                add(role, ctx.prop["hasRoleUnderName"], name)
+                add(ctx.item, ctx.prop["providesAgentRole"], role)
         elif child.tag == "affiliation":
             if not child.text:
                 ctx.warn("empty affiliation skipped")
@@ -251,25 +268,24 @@ def map_name(element: ModsElement, ctx: _RecordContext):
             if not child.text:
                 ctx.warn("empty displayForm skipped")
                 continue
-            graph.add(name, reg.prop("hasDisplayForm"), Literal(child.text))
+            add(name, ctx.prop["hasDisplayForm"], ctx.intern(Literal(child.text)))
         elif child.tag == "nameIdentifier":
             if not child.text:
                 ctx.warn("empty nameIdentifier skipped")
                 continue
             identifier = ctx.node("nameIdentifier", "NameIdentifier")
-            graph.add(identifier, RDF_TYPE, reg.cls("Identifier"))
-            graph.add(name, reg.prop("hasNameIdentifier"), identifier)
-            graph.add(identifier, reg.prop("hasValue"), Literal(child.text))
+            add(identifier, ctx.rdf_type, ctx.cls["Identifier"])
+            add(name, ctx.prop["hasNameIdentifier"], identifier)
+            add(identifier, ctx.prop["hasValue"], ctx.intern(Literal(child.text)))
             map_common_attributes(child, identifier, ctx)
         else:
             ctx.warn(f"unmapped element name/{child.tag}")
     return name
 
 
-def map_date(element: ModsElement, ctx: _RecordContext, owner=None):
+def map_date(element: ModsElement, ctx: _DocumentContext, owner=None):
     """One date element: a date node with exactly one attribute node."""
-    reg = ctx.registry
-    graph = ctx.graph
+    add = ctx.add
     if owner is None:
         owner = ctx.item
 
@@ -278,27 +294,27 @@ def map_date(element: ModsElement, ctx: _RecordContext, owner=None):
         return None
 
     date = ctx.node("dateInfo", "DateInfo")
-    graph.add(owner, reg.prop("hasDateInfo"), date)
-    graph.add(date, reg.prop("hasValue"), Literal(element.text))
-    graph.add(date, reg.prop("isOfType"), reg.individual(DATE_ELEMENTS[element.tag]))
+    add(owner, ctx.prop["hasDateInfo"], date)
+    add(date, ctx.prop["hasValue"], ctx.intern(Literal(element.text)))
+    add(date, ctx.prop["isOfType"], ctx.individual[DATE_ELEMENTS[element.tag]])
 
     attrs_node = ctx.node("dateAttributes", "DateAttributes")
-    graph.add(date, reg.prop("hasDateAttributes"), attrs_node)
+    add(date, ctx.prop["hasDateAttributes"], attrs_node)
 
     encoding = element.attrs.get("encoding")
     if encoding is not None:
         individual = ENCODING_VALUES.get(encoding.lower())
         if individual is not None:
-            target = reg.individual(individual)
+            target = ctx.individual[individual]
         else:
             target = _mint_vocab_individual(ctx, "DateEncoding", encoding)
         if target is not None:
-            graph.add(attrs_node, reg.prop("hasDateEncodingType"), target)
+            add(attrs_node, ctx.prop["hasDateEncodingType"], target)
 
     key_date = element.attrs.get("keyDate")
     if key_date is not None:
         if key_date == "yes":
-            graph.add(attrs_node, reg.prop("isKeyDate"), Literal("true", XSD_BOOLEAN))
+            add(attrs_node, ctx.prop["isKeyDate"], ctx.intern(Literal("true", XSD_BOOLEAN)))
         else:
             ctx.warn(f"keyDate value {key_date!r} is not 'yes', skipped")
 
@@ -308,7 +324,7 @@ def map_date(element: ModsElement, ctx: _RecordContext, owner=None):
         if individual is None:
             ctx.warn(f"unknown point value {point!r}, skipped")
         else:
-            graph.add(attrs_node, reg.prop("isStartOrEndPoint"), reg.individual(individual))
+            add(attrs_node, ctx.prop["isStartOrEndPoint"], ctx.individual[individual])
 
     qualifier = element.attrs.get("qualifier")
     if qualifier is not None:
@@ -316,19 +332,19 @@ def map_date(element: ModsElement, ctx: _RecordContext, owner=None):
         if individual is None:
             ctx.warn(f"unknown qualifier value {qualifier!r}, skipped")
         else:
-            graph.add(attrs_node, reg.prop("hasQualifier"), reg.individual(individual))
+            add(attrs_node, ctx.prop["hasQualifier"], ctx.individual[individual])
 
     calendar = element.attrs.get("calendar")
     if calendar is not None:
         target = _mint_vocab_individual(ctx, "Calendar", calendar)
         if target is not None:
-            graph.add(attrs_node, reg.prop("hasAlternativeCalendar"), target)
+            add(attrs_node, ctx.prop["hasAlternativeCalendar"], target)
 
     map_common_attributes(element, date, ctx)
     return date
 
 
-def _map_record_element(record: ModsElement, ctx: _RecordContext) -> None:
+def _map_record_element(record: ModsElement, ctx: _DocumentContext) -> None:
     for key in record.attrs:
         if key not in ("ID", "version"):
             ctx.warn(f"unmapped attribute {key!r} on record element")
@@ -360,9 +376,7 @@ def map_record(document: ModsDocument, registry: VocabularyRegistry, base_iri=No
         base_iri = registry.base_iri
     elif not base_iri.endswith(("/", "#")):
         base_iri += "/"
-    graph = Graph()
-    warnings: list[str] = []
-    org_table: dict = {}
+    ctx = _DocumentContext(Graph(), registry, base_iri)
     record_ids: dict[str, None] = {}  # ordered, for MappingResult.record_ids
     for record in document.records():
         record_id = record.attrs.get("ID", "")
@@ -374,13 +388,6 @@ def map_record(document: ModsDocument, registry: VocabularyRegistry, base_iri=No
             if record_id in record_ids:
                 raise MappingError(f"duplicate record ID {record_id!r}")
             record_ids[record_id] = None
-        ctx = _RecordContext(
-            graph=graph,
-            registry=registry,
-            base_iri=base_iri,
-            record_id=record_id,
-            warnings=warnings,
-            org_table=org_table,
-        )
+        ctx.start_record(record_id)
         _map_record_element(record, ctx)
-    return MappingResult(graph=graph, warnings=warnings, record_ids=list(record_ids))
+    return MappingResult(graph=ctx.graph, warnings=ctx.warnings, record_ids=list(record_ids))

@@ -9,8 +9,9 @@ The reader walks each line with one precompiled pattern per term (subject,
 predicate, object with its datatype or language tag, and the line end),
 each matched at the current position. A term without a backslash is used
 as written; only one with an escape goes through the decoder. A cache local
-to one read_ntriples call maps each token's text to its term, so every
-distinct IRI, blank node and literal is decoded and checked once.
+to one read_ntriples call maps each token's text to its id in the graph, so
+every distinct IRI, blank node and literal is decoded, checked and interned
+once, and each line adds one id triple.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ _END = re.compile(r"[ \t]*\.[ \t]*(?:#|\Z)")
 _SPACES = re.compile(r"[ \t]*")
 
 
-def _unescape(raw: str, what: str) -> str:
+def _unescape(raw: str, what: str, escapes: dict = _ESCAPES) -> str:
     """Decode the backslash escapes of an IRI or literal body."""
     out = []
     done = 0
@@ -88,8 +89,8 @@ def _unescape(raw: str, what: str) -> str:
         code = raw[i + 1 : i + 2]
         if not code:
             raise NTriplesError(f"dangling escape in {what}")
-        if code in _ESCAPES:
-            out.append(_ESCAPES[code])
+        if code in escapes:
+            out.append(escapes[code])
             done = i + 2
         elif code in ("u", "U"):
             width = 4 if code == "u" else 8
@@ -115,20 +116,22 @@ def _node(token: str):
     """The Iri of an "<...>" token or the BlankNode of a "_:..." token."""
     if token[0] == "<":
         raw = token[1:-1]
-        return Iri(_unescape(raw, "IRI") if "\\" in raw else raw)
+        # IRIREF takes \u and \U escapes only (UCHAR), none of a literal's.
+        return Iri(_unescape(raw, "IRI", {}) if "\\" in raw else raw)
     if len(token) == 2:
         raise NTriplesError("empty blank node label")
     return BlankNode(token[2:])
 
 
-def _literal(match, cache: dict) -> Literal:
-    """The Literal of an _OBJECT match on a literal token."""
+def _literal(match, datatypes: dict) -> Literal:
+    """The Literal of an _OBJECT match on a literal token; `datatypes` caches
+    each datatype token's Iri."""
     body, datatype, lang = match.group(1, 2, 3)
     lexical = _unescape(body, "literal") if "\\" in body else body
     if datatype is not None:
-        iri = cache.get(datatype)
+        iri = datatypes.get(datatype)
         if iri is None:
-            iri = cache[datatype] = _node(datatype)
+            iri = datatypes[datatype] = _node(datatype)
         if iri == RDF_LANGSTRING:
             raise NTriplesError("language string literal requires a language tag")
         return Literal(lexical, iri)
@@ -166,10 +169,12 @@ def read_ntriples(text: str) -> Graph:
     line number on the first syntax error.
     """
     graph = Graph()
-    add = graph.add
-    # Token text -> term, for every token read so far; each distinct term
-    # is decoded and checked once per call.
-    cache: dict = {}
+    intern, add = graph._intern, graph._add_ids
+    # Token text -> term id, for every token read so far; each distinct term
+    # is decoded, checked and interned once per call.  The patterns put an
+    # IRI or blank node in subject place and an IRI in predicate place.
+    ids: dict[str, int] = {}
+    datatypes: dict[str, Iri] = {}
     lines = text.split("\n")
     if "\r" in text:
         lines = [line.rstrip("\r") for line in lines]
@@ -185,27 +190,28 @@ def read_ntriples(text: str) -> Graph:
                     raise NTriplesError("unterminated IRI")
                 raise NTriplesError("expected blank node label")
             token = m.group(1)
-            subject = cache.get(token)
+            subject = ids.get(token)
             if subject is None:
-                subject = cache[token] = _node(token)
+                subject = ids[token] = intern(_node(token))
 
             pos = m.end()
             m = _PREDICATE.match(line, pos)
             if m is None:
                 raise _expected_iri(line, pos)
             token = m.group(1)
-            predicate = cache.get(token)
+            predicate = ids.get(token)
             if predicate is None:
-                predicate = cache[token] = _node(token)
+                predicate = ids[token] = intern(_node(token))
 
             pos = m.end()
             m = _OBJECT.match(line, pos)
             if m is None:
                 raise _bad_object(line, pos)
             token = m.group()
-            obj = cache.get(token)
+            obj = ids.get(token)
             if obj is None:
-                obj = cache[token] = _node(token) if token[0] != '"' else _literal(m, cache)
+                term = _node(token) if token[0] != '"' else _literal(m, datatypes)
+                obj = ids[token] = intern(term)
 
             pos = m.end()
             if _END.match(line, pos) is None:
@@ -219,14 +225,8 @@ def read_ntriples(text: str) -> Graph:
     return graph
 
 
-_PN_FIRST = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_PN_REST = _PN_FIRST | set("0123456789-")
-
-
-def _local_name_ok(local: str) -> bool:
-    if not local or local[0] not in _PN_FIRST:
-        return False
-    return all(ch in _PN_REST for ch in local[1:])
+# The local names written after a prefix: an ASCII subset of PN_LOCAL.
+_LOCAL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 
 
 def _turtle_term(term, prefixes: list[tuple[str, str]]) -> str:
@@ -236,7 +236,7 @@ def _turtle_term(term, prefixes: list[tuple[str, str]]) -> str:
         for prefix, namespace in prefixes:
             if term.value.startswith(namespace):
                 local = term.value[len(namespace) :]
-                if _local_name_ok(local):
+                if _LOCAL_NAME.fullmatch(local):
                     return f"{prefix}:{local}"
         return f"<{term.value}>"
     if isinstance(term, BlankNode):

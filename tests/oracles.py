@@ -376,7 +376,8 @@ class _LineParser:
             if i + 1 >= len(raw):
                 raise self.error(f"dangling escape in {what}")
             code = raw[i + 1]
-            if code in _NT_ESCAPES:
+            # ECHAR belongs to literals; an IRI takes UCHAR (\u, \U) only.
+            if code in _NT_ESCAPES and what == "literal":
                 out.append(_NT_ESCAPES[code])
                 i += 2
             elif code in ("u", "U"):

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import pyexpat
 import subprocess
 import sys
 import time
@@ -420,6 +421,77 @@ class TestVocab:
         code, out, _ = run(capsys, "vocab", "Calendar")
         assert code == 0
         assert out == ""
+
+
+def _graph_inputs(tmp_path):
+    """Every fixture that reads or maps, with its graph: triangle.nt, and each
+    XML fixture both as itself and written out as N-Triples."""
+    registry = VocabularyRegistry()
+    found = [(FIXTURES / "triangle.nt", read_ntriples((FIXTURES / "triangle.nt").read_text()))]
+    for record in sorted(FIXTURES.glob("*.xml")):
+        try:
+            graph = map_record(parse_mods_xml(record.read_bytes()), registry).graph
+        except (mmods.ModsParseError, mmods.MappingError):
+            continue
+        written = tmp_path / f"{record.stem}.nt"
+        written.write_text(mmods.write_ntriples(graph))
+        found += [(record, graph), (written, read_ntriples(written.read_text()))]
+    return found
+
+
+class TestInPlaceSaturation:
+    """validate and infer saturate the graph they own in place; what they
+    write equals the library's validate(infer=True) and materialize, which
+    saturate a copy."""
+
+    def test_validate_matches_the_library(self, capsys, tmp_path):
+        registry = VocabularyRegistry()
+        rules = mmods.catalog(registry)
+        for path, graph in _graph_inputs(tmp_path):
+            size = len(graph)
+            report = mmods.validate(graph, rules, registry, infer=True, source=str(path))
+            assert len(graph) == size
+            for fmt, writer in (("json", mmods.write_report_json), ("text", mmods.write_report_text)):
+                code, out, _ = run(capsys, "validate", path, "--report", fmt)
+                assert (code, out) == (0 if report.ok() else 3, writer(report)), (path, fmt)
+
+    def test_infer_matches_materialize(self, capsys, tmp_path):
+        registry = VocabularyRegistry()
+        rules = mmods.catalog(registry)
+        for path, graph in _graph_inputs(tmp_path):
+            if path.suffix != ".nt":
+                continue
+            size = len(graph)
+            inferred = mmods.materialize(graph, rules)
+            assert len(graph) == size
+            for fmt, text in (
+                ("nt", mmods.write_ntriples(inferred)),
+                ("ttl", mmods.write_turtle(inferred, registry)),
+            ):
+                assert run(capsys, "infer", path, "--format", fmt) == (0, text, ""), (path, fmt)
+
+
+# Nine levels of internal entities, each ten references to the one below:
+# 10**9 copies of "lol" if expanded.
+_ENTITY_BOMB = (
+    '<?xml version="1.0"?>\n<!DOCTYPE mods [\n  <!ENTITY e0 "lol">\n'
+    + "".join(f'  <!ENTITY e{i} "{f"&e{i - 1};" * 10}">\n' for i in range(1, 10))
+    + ']>\n<mods><name><namePart>&e9;</namePart></name></mods>\n'
+)
+
+
+@pytest.mark.skipif(
+    pyexpat.version_info < (2, 4, 0), reason="expat before 2.4.0 has no amplification limit"
+)
+def test_entity_expansion_is_refused(tmp_path):
+    record = tmp_path / "bomb.xml"
+    record.write_text(_ENTITY_BOMB)
+    start = time.perf_counter()
+    done = fresh_python("-m", "mmods.cli", "convert", record, "--format", "nt")
+    assert time.perf_counter() - start < 5.0
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
 
 
 class TestExitCodeContract:

@@ -139,16 +139,21 @@ class TestGraphBasics:
             g2.add(s, p, o)
         assert canonicalize(g1) == canonicalize(g2)
 
+    # add() checks term positions before interning; the reader and the
+    # mapper add id triples whose positions their own rules guarantee.
     def test_subject_must_be_node(self):
-        with pytest.raises(GraphError):
-            Graph().add(Literal("x"), P, A)
+        g = Graph()
+        with pytest.raises(GraphError, match="subject must be"):
+            g.add(Literal("x"), P, A)
+        assert len(g) == 0 and g.term_id(P) is None
 
     def test_predicate_must_be_iri(self):
         g = Graph()
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="predicate must be"):
             g.add(A, BlankNode("b0"), B)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="predicate must be"):
             g.add(A, Literal("p"), B)
+        assert len(g) == 0 and g.term_id(A) is None
 
     def test_object_must_be_term(self):
         with pytest.raises(GraphError):
@@ -242,6 +247,55 @@ class TestMatch:
     def test_full_wildcard_returns_everything(self):
         g = Graph().add(A, P, B).add(B, Q, Literal("v"))
         assert len(g.match()) == 2
+
+
+_STORE_NODES = [A, B, BlankNode("x"), BlankNode("y")]
+_STORE_OBJECTS = _STORE_NODES + [Literal("v"), Literal("v", lang="en")]
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["add", "match"]),
+            st.integers(0, 7),
+            st.sampled_from(_STORE_NODES),
+            st.sampled_from([P, Q]),
+            st.sampled_from(_STORE_OBJECTS),
+        ),
+        st.tuples(st.just("copy"), st.integers(0, 7)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STORE_OPS)
+def test_store_against_a_model_across_copies(ops):
+    # Indexes are built by the first match that needs one and kept current
+    # by later adds; a copy builds its own.  Each graph is checked against
+    # its own set of triples, so an add never shows in another graph.
+    graphs, models = [Graph()], [set()]
+    for op, which, *triple in ops:
+        g, model = graphs[which % len(graphs)], models[which % len(graphs)]
+        if op == "copy":
+            graphs.append(g.copy())
+            models.append(set(model))
+        elif op == "add":
+            g.add(*triple)
+            model.add(tuple(triple))
+        else:
+            for keep in itertools.product([False, True], repeat=3):
+                pattern = [term if k else None for term, k in zip(triple, keep)]
+                expected = {
+                    t for t in model if all(want in (None, got) for want, got in zip(pattern, t))
+                }
+                ids = [-1 if term is None else g.term_id(term) for term in pattern]
+                if None in ids:
+                    assert expected == set()
+                    continue
+                found = g.match_ids(*ids)
+                assert len(found) == len(set(found))
+                assert {tuple(map(g.term, t)) for t in found} == expected, pattern
+    for g, model in zip(graphs, models):
+        assert set(g.triples()) == model and len(g) == len(model)
 
 
 class TestInstancesOf:

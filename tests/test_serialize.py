@@ -226,6 +226,15 @@ class TestReadNTriples:
             read_ntriples("# first\n" + line + "\n")
         assert str(err.value).startswith(f"line 2: {message}")
 
+    @pytest.mark.parametrize("code", list("tbnrf\"'\\"))
+    def test_iri_rejects_literal_escape(self, code):
+        # N-Triples IRIREF allows UCHAR only, never ECHAR.
+        text = f"<urn:s> <urn:p> <urn:o> .\n<urn:a\\{code}b> <urn:p> <urn:o> .\n"
+        for reader in (read_ntriples, read_ntriples_reference):
+            with pytest.raises(NTriplesError) as err:
+                reader(text)
+            assert str(err.value) == f"line 2: unknown escape \\{code} in IRI"
+
     @pytest.mark.parametrize(
         "point", [*range(0x21), *map(ord, '<>"{}|^`\\')], ids=lambda c: f"U+{c:04X}"
     )
@@ -242,7 +251,10 @@ class TestReadNTriples:
 # piece, then a few lines mutated with the characters that start or end
 # tokens.  Most lines read, so errors come from every line of a text.
 _WORD = ["a", "Z", "0", "é", "٣", "Ⅷ", "\U0001F600", "_", "-", ".", ":", "/", "#"]
-_GOOD_ESCAPES = ["\\u0041", "\\u00E9", "\\U0001F600", '\\"', "\\'", "\\\\"]
+# IRIREF takes UCHAR (\u, \U) only; a literal also takes ECHAR, which is a
+# bad piece in an IRI.
+_UCHARS = ["\\u0041", "\\u00E9", "\\U0001F600"]
+_GOOD_ESCAPES = _UCHARS + ['\\"', "\\'", "\\\\"]
 _BAD_ESCAPES = ["\\u+041", "\\u0x41", "\\u 041", "\\uD800", "\\U00110000", "\\q", "\\u00", "\\"]
 _ODD = [" ", "\t", "<", '"', "@", "^", "\r", "\x0b", "　"]
 _STRAY = ["<", ">", '"', "\\", ".", " ", "\t", "#", "_", ":", "@", "^", "\r", "a"]
@@ -259,7 +271,7 @@ def _weighted(*choices):
     )
 
 
-_CLEAN_IRI = _text(_WORD * 4 + _GOOD_ESCAPES, min_size=1).map(lambda t: f"<{t}>")
+_CLEAN_IRI = _text(_WORD * 4 + _UCHARS, min_size=1).map(lambda t: f"<{t}>")
 _ANY_IRI = _text(_WORD + _GOOD_ESCAPES + _BAD_ESCAPES + _ODD, min_size=1).map(lambda t: f"<{t}>")
 _IRI = _weighted((_CLEAN_IRI, 7), (_ANY_IRI, 1))
 _BLANK = _text(["a", "b", "0", "é", "٣", "_", "-", "-", ".", "."], min_size=1).map(
@@ -515,6 +527,20 @@ class TestWriteTurtle:
         g = Graph().add(Iri("urn:x"), Iri("http://other.example/p"), Iri("urn:y"))
         text = write_turtle(g, reg)
         assert "<http://other.example/p>" in text
+
+    def test_local_name_pattern_accepts_what_the_character_rule_did(self):
+        from mmods.serialize import _LOCAL_NAME
+
+        # The per-character rule the pattern replaced, kept as the reference.
+        first = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+        rest = first | set("0123456789-")
+
+        def local_name_ok(local):
+            return bool(local) and local[0] in first and all(ch in rest for ch in local[1:])
+
+        chars = [chr(point) for point in range(128)] + ["é", "٣", "Ⅷ", "　", "\U0001F600"]
+        for local in ["", *chars, *(a + b for a in chars for b in chars)]:
+            assert bool(_LOCAL_NAME.fullmatch(local)) == local_name_ok(local), repr(local)
 
 
 def _report(findings, source="test.xml"):
