@@ -99,7 +99,8 @@ def _map_mods(path: str, registry, record_ids: set) -> Graph:
 
 def _read_graph_file(path: str) -> Graph:
     try:
-        text = _read_bytes(path).decode("utf-8")
+        # A leading byte order mark is dropped, as the XML parser drops it.
+        text = _read_bytes(path).decode("utf-8-sig")
         return read_ntriples(text)
     except (NTriplesError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc

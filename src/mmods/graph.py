@@ -2,10 +2,11 @@
 
 A Graph has set semantics: adding a triple twice leaves one copy.  It is the
 one store: terms are interned to integer ids, and pattern matching and
-rule saturation (apply_rules) run on the id triples.  Its indexes are built
-on first use, so building and writing a graph maintains none, and
-saturation builds only the three its rules read.  term_id, term and
-match_ids expose the id level to the validator.
+rule saturation (apply_rules) run on the id triples.  Its indexes, one per
+triple position, are built on first use, so building and writing a graph
+maintains none, and saturation and validation build only the predicate
+index (1,).  term_id, term and match_ids expose the id level to the
+validator.
 
 canonicalize() produces a text form shared by exactly the graphs that are
 isomorphic under blank-node renaming, so graph comparison is string equality.
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 # The id that matches any term in match_ids.
@@ -167,8 +168,8 @@ class Graph:
     """Mutable triple set with interned terms and pattern matching on ids.
 
     Terms are interned to integer ids, and the id triples are the keys of one
-    insertion-ordered dict.  An index maps the ids at some triple positions,
-    (1,) or (0, 1), say, to the triples holding them; match_ids builds each
+    insertion-ordered dict.  An index maps the ids at one triple position,
+    (0,), (1,) or (2,), to the triples holding them; match_ids builds each
     in one pass the first time a pattern needs it, and later adds keep the
     built ones current.  A graph that is only written builds none.
     """
@@ -177,8 +178,9 @@ class Graph:
         self._terms: list[Term] = []
         self._ids: dict[Term, int] = {}
         self._triples: dict[tuple[int, int, int], None] = {}
-        # Triple positions -> (key of a triple, index from key to triples).
-        self._indexes: dict[tuple[int, ...], tuple[itemgetter, dict]] = {}
+        # (position,) -> index from the ids at that triple position to the
+        # triples holding them.
+        self._indexes: dict[tuple[int], dict[int, list]] = {}
         self._blank_counter = 0
 
     def _intern(self, term: Term) -> int:
@@ -199,19 +201,19 @@ class Graph:
         if t in self._triples:
             return False
         self._triples[t] = None
-        for key, index in self._indexes.values():
-            index.setdefault(key(t), []).append(t)
+        for (position,), index in self._indexes.items():
+            index.setdefault(t[position], []).append(t)
         return True
 
-    def _index(self, positions: tuple[int, ...]) -> dict:
-        """The index on the given triple positions, built on first use."""
-        built = self._indexes.get(positions)
-        if built is None:
-            key, index = itemgetter(*positions), {}
+    def _index(self, position: int) -> dict:
+        """The index from the ids at one triple position to the triples
+        holding them, built on first use."""
+        index = self._indexes.get((position,))
+        if index is None:
+            index = self._indexes[(position,)] = {}
             for t in self._triples:
-                index.setdefault(key(t), []).append(t)
-            built = self._indexes[positions] = (key, index)
-        return built[1]
+                index.setdefault(t[position], []).append(t)
+        return index
 
     def add(self, s: Node, p: Iri, o: Term) -> "Graph":
         if not isinstance(s, (Iri, BlankNode)):
@@ -275,23 +277,28 @@ class Graph:
         return self._terms[tid]
 
     def match_ids(self, s: int, p: int, o: int) -> list[tuple[int, int, int]]:
-        """Id triples matching the pattern (WILDCARD, -1, = any), unsorted."""
-        if s != WILDCARD and p != WILDCARD:
-            cands = self._index((0, 1)).get((s, p), ())
-            if o == WILDCARD:
-                return list(cands)
-            return [t for t in cands if t[2] == o]
-        if p != WILDCARD and o != WILDCARD:
-            return list(self._index((1, 2)).get((p, o), ()))  # s is a wildcard here
+        """Id triples matching the pattern (WILDCARD, -1, = any), unsorted.
+
+        A bound subject is looked up in the (0,) index, else a bound object
+        in (2,), else a bound predicate in (1,); the other bound positions
+        filter those candidates.
+        """
         if s != WILDCARD:
-            cands = self._index((0,)).get(s, ())
-            if o == WILDCARD:
-                return list(cands)
-            return [t for t in cands if t[2] == o]
-        if p != WILDCARD:
-            return list(self._index((1,)).get(p, ()))
+            if p != WILDCARD and o != WILDCARD:
+                return [(s, p, o)] if (s, p, o) in self._triples else []
+            cands = self._index(0).get(s, ())
+            if p != WILDCARD:
+                return [t for t in cands if t[1] == p]
+            if o != WILDCARD:
+                return [t for t in cands if t[2] == o]
+            return list(cands)
         if o != WILDCARD:
-            return list(self._index((2,)).get(o, ()))
+            cands = self._index(2).get(o, ())
+            if p != WILDCARD:
+                return [t for t in cands if t[1] == p]
+            return list(cands)
+        if p != WILDCARD:
+            return list(self._index(1).get(p, ()))
         return list(self._triples)
 
     def fresh_blank(self) -> BlankNode:
@@ -325,36 +332,63 @@ class Graph:
         A chain (p1, p2, inverted, q) asserts (a, q, c) for every
         a -p1-> b -p2-> c, or for every a -p1-> b and c -p2-> b when
         inverted.  A subclass pair (sub, sup) asserts (x, rdf:type, sup)
-        for every (x, rdf:type, sub).  Rules only connect existing nodes,
-        so the loop terminates.
+        for every (x, rdf:type, sub).
+
+        A worklist closure: the worklist starts with every edge of a chain
+        predicate and every rdf:type edge whose class has a superclass, and
+        each triple the rules add joins it.  A triple taken from the list
+        is entered in the adjacency maps of its predicate, then joined with
+        the edges entered before it (and itself), so every pair of premises
+        meets once the later of the two is taken.  Rules only connect
+        existing nodes, so the loop terminates.  Only the (1,) index is read.
         """
-        chain_ids = [
-            (self._intern(p1), self._intern(p2), bool(inv), self._intern(q))
-            for p1, p2, inv, q in chains
-        ]
-        pair_ids = [(self._intern(a), self._intern(b)) for a, b in subclass_pairs]
         rdf_type = self._intern(RDF_TYPE)
+        supers: dict[int, list[int]] = {}
+        for sub, sup in subclass_pairs:
+            supers.setdefault(self._intern(sub), []).append(self._intern(sup))
+        # Per predicate: the chains it starts (p2, inverted, q) and ends
+        # (p1, inverted, q), and maps subject -> objects (out_edges) or
+        # object -> subjects (in_edges) over the edges taken so far.
+        first: dict[int, list[tuple[int, bool, int]]] = {}
+        second: dict[int, list[tuple[int, bool, int]]] = {}
+        out_edges: dict[int, defaultdict[int, list[int]]] = {}
+        in_edges: dict[int, defaultdict[int, list[int]]] = {}
+        for p1, p2, inverted, q in chains:
+            p1, p2, q = self._intern(p1), self._intern(p2), self._intern(q)
+            inverted = bool(inverted)
+            first.setdefault(p1, []).append((p2, inverted, q))
+            second.setdefault(p2, []).append((p1, inverted, q))
+            in_edges.setdefault(p1, defaultdict(list))
+            (in_edges if inverted else out_edges).setdefault(p2, defaultdict(list))
         match, add = self.match_ids, self._add_ids
+        work = [t for p in first.keys() | second.keys() for t in match(WILDCARD, p, WILDCARD)]
+        if supers and rdf_type not in first and rdf_type not in second:
+            work += [t for t in match(WILDCARD, rdf_type, WILDCARD) if t[2] in supers]
         total = 0
-        while True:
-            added = 0
-            for p1, p2, inverted, implied in chain_ids:
-                for a, _, b in match(WILDCARD, p1, WILDCARD):
-                    if inverted:
-                        for c, _, _ in match(WILDCARD, p2, b):
-                            if add(a, implied, c):
-                                added += 1
-                    else:
-                        for _, _, c in match(b, p2, WILDCARD):
-                            if add(a, implied, c):
-                                added += 1
-            for sub, sup in pair_ids:
-                for x, _, _ in match(WILDCARD, rdf_type, sub):
-                    if add(x, rdf_type, sup):
-                        added += 1
-            if not added:
-                return total
-            total += added
+        while work:
+            s, p, o = work.pop()
+            derived: list[tuple[int, int, int]] = []
+            if p in out_edges:
+                out_edges[p][s].append(o)
+            if p in in_edges:
+                in_edges[p][o].append(s)
+            if p in first:
+                for p2, inverted, q in first[p]:
+                    # s -p-> o, then o -p2-> c (or c -p2-> o when inverted).
+                    ends = (in_edges if inverted else out_edges)[p2].get(o, ())
+                    derived += [(s, q, c) for c in ends]
+            if p in second:
+                for p1, inverted, q in second[p]:
+                    # a -p1-> b, then b -p-> c (or c -p-> b when inverted).
+                    b, c = (o, s) if inverted else (s, o)
+                    derived += [(a, q, c) for a in in_edges[p1].get(b, ())]
+            if p == rdf_type and o in supers:
+                derived += [(s, p, sup) for sup in supers[o]]
+            for t in derived:
+                if add(*t):
+                    work.append(t)
+                    total += 1
+        return total
 
 
 def instances_of(graph: Graph, class_iri: Iri, catalog=None) -> list[Node]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 MODS_NS = "http://www.loc.gov/mods/v3"
 XML_NS = "http://www.w3.org/XML/1998/namespace"
@@ -94,9 +94,11 @@ class ModsStructureError(ModsParseError):
     """Well-formed XML whose root is not mods or modsCollection."""
 
 
-@dataclass(frozen=True)
-class ModsElement:
-    """One element: local tag, namespace, attributes, text, children."""
+class ModsElement(NamedTuple):
+    """One element: local tag, namespace, attributes, text, children.
+
+    Immutable: assigning to a field raises AttributeError.
+    """
 
     tag: str
     ns: str
@@ -138,14 +140,13 @@ def _split_tag(raw: str) -> tuple[str, str]:
 
 def _convert(node: ET.Element) -> ModsElement:
     local, ns = _split_tag(node.tag)
-    attrs = {}
-    for key, value in node.attrib.items():
-        attrs[_ATTR_ALIASES.get(key, key)] = value
-    text = (node.text or "").strip()
-    children = tuple(_convert(child) for child in node)
-    recognized = ns in ("", MODS_NS) and local in RECOGNIZED_ELEMENTS
     return ModsElement(
-        tag=local, ns=ns, attrs=attrs, text=text, children=children, recognized=recognized
+        local,
+        ns,
+        {_ATTR_ALIASES.get(key, key): value for key, value in node.attrib.items()},
+        (node.text or "").strip(),
+        tuple(map(_convert, node)),
+        ns in ("", MODS_NS) and local in RECOGNIZED_ELEMENTS,
     )
 
 

@@ -6,16 +6,18 @@ entailment: a required edge that is absent is a violation.
 
 The kernels run on the store's interned integer ids.  A view of the graph,
 built once per validate() call (and once per check_constraint() call), holds
-the set of subject ids typed with each class, built on first use by one
-store lookup; fillers become tests on ids, and edges are read unsorted.  Ids
-become terms only for the findings, which are sorted at the end: by focus,
-or for edge-level rules by (subject, object).  So the order and text of the
-findings depend on the terms alone, never on interning or insertion order.
+the set of subject ids typed with each class, all built on first use from
+one read of the rdf:type edges; fillers become tests on ids, and edges are
+read unsorted.  Every read is by predicate, so the store builds only its
+(1,) index.  Ids become terms only for the findings, which are sorted at
+the end: by focus, or for edge-level rules by (subject, object).  So the
+order and text of the findings depend on the terms alone, never on
+interning or insertion order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional
@@ -75,17 +77,14 @@ class ValidationReport:
         return {"errors": self.errors, "warnings": self.warnings, "infos": self.infos}
 
 
-_subject = itemgetter(0)
-
-
 class _IdView:
     """A graph seen through its interned ids, for the constraint kernels.
 
     Kernels read whole properties (every edge of one predicate) and typed
     sets, so each asks the store a fixed number of questions whatever the
     graph's size.  A class or property the graph has not interned reads as
-    empty.  The typed set of a class is built on first use, by one store
-    lookup, and kept for the life of the view.
+    empty.  The typed sets of all classes are built together on first use,
+    from one read of the rdf:type edges, and kept for the life of the view.
     """
 
     def __init__(self, graph: Graph, registry: VocabularyRegistry):
@@ -93,8 +92,7 @@ class _IdView:
         self.id = graph.term_id
         self.term = graph.term
         self._match_ids = graph.match_ids
-        self._rdf_type = graph.term_id(RDF_TYPE)
-        self._typed: dict[Optional[int], set[int]] = {}
+        self._typed: Optional[dict[int, set[int]]] = None
 
     def edges(self, prop: Iri) -> list[tuple[int, int, int]]:
         """Every id triple with the property as predicate, unsorted."""
@@ -104,15 +102,16 @@ class _IdView:
     def typed(self, cls: Optional[Iri]) -> set[int]:
         """Ids of the subjects typed with the class, or with any class for
         None (a rule without a scope class applies to every typed node)."""
-        cid = WILDCARD if cls is None else self.id(cls)
-        found = self._typed.get(cid)
-        if found is None:
-            if cid is None or self._rdf_type is None:
-                found = set()
-            else:
-                found = set(map(_subject, self._match_ids(WILDCARD, self._rdf_type, cid)))
-            self._typed[cid] = found
-        return found
+        if self._typed is None:
+            by_class = defaultdict(set)
+            for s, _, o in self.edges(RDF_TYPE):
+                by_class[o].add(s)
+            self._typed = dict(by_class)
+        if cls is None:
+            if WILDCARD not in self._typed:
+                self._typed[WILDCARD] = set().union(*self._typed.values())
+            return self._typed[WILDCARD]
+        return self._typed.get(self.id(cls), set())
 
     def accepts(self, filler: Optional[Filler]) -> Callable[[int], bool]:
         """A test on ids for a filler: membership in a class (used for scope

@@ -216,15 +216,21 @@ def finding_counter(report):
     return Counter((f.code, f.severity, f.focus) for f in report.findings)
 
 
-def naive_materialize(graph, cat):
-    """Apply every rule everywhere, one at a time, until nothing changes."""
+def naive_materialize(graph, cat=None, *, chains=(), subclass_pairs=()):
+    """Apply every rule everywhere, one at a time, until nothing changes.
+
+    The rules are the catalog's when one is given, else the chains
+    (p1, p2, inverted, q) and subclass pairs (sub, sup) passed in.
+    """
+    if cat is not None:
+        chains, subclass_pairs = cat.chains(), cat.subclass_pairs()
     out = Graph()
     for t in graph.triples():
         out.add(t.s, t.p, t.o)
     changed = True
     while changed:
         changed = False
-        for first, second, inverted, implied in cat.chains():
+        for first, second, inverted, implied in chains:
             for t1 in list(out.triples()):
                 if t1.p != first:
                     continue
@@ -239,7 +245,7 @@ def naive_materialize(graph, cat):
                         if (t1.s, implied, t2.s) not in out:
                             out.add(t1.s, implied, t2.s)
                             changed = True
-        for sub, sup in cat.subclass_pairs():
+        for sub, sup in subclass_pairs:
             for t in list(out.triples()):
                 if t.p == RDF_TYPE and t.o == sub and (t.s, RDF_TYPE, sup) not in out:
                     out.add(t.s, RDF_TYPE, sup)

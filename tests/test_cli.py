@@ -309,6 +309,24 @@ class TestValidate:
         assert code == 1
         assert "line 1" in err
 
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        _, text, _ = run(capsys, "convert", FIXTURES / "nameless.xml", "--format", "nt")
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        for flags in ([], ["--no-infer"]):
+            found = []
+            for path in (plain, marked):
+                code, out, err = run(
+                    capsys, "validate", path, "--input-format", "nt", "--report", "json", *flags
+                )
+                report = json.loads(out)
+                assert report.pop("source") == str(path) and err == ""
+                found.append((code, report))
+            assert found[0] == found[1]
+            assert found[0][0] == 3 and found[0][1]["findings"]
+
     def test_mapped_xml_validates_through_cli(self, capsys):
         for name in ["corporate.xml", "dates.xml", "attrs.xml", "collection.xml"]:
             code, out, _ = run(capsys, "validate", FIXTURES / name)
@@ -358,6 +376,22 @@ class TestInfer:
         code, out, err = run(capsys, "infer", crlf, "--format", "nt")
         assert (code, err) == (0, "")
         assert out == run(capsys, "infer", FIXTURES / "triangle.nt", "--format", "nt")[1]
+
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        plain = (FIXTURES / "triangle.nt").read_bytes()
+        marked = tmp_path / "triangle-bom.nt"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain)
+        for fmt in ("nt", "ttl"):
+            code, out, err = run(capsys, "infer", marked, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out == run(capsys, "infer", FIXTURES / "triangle.nt", "--format", fmt)[1]
+
+    def test_byte_order_mark_only_at_the_start(self, capsys, tmp_path):
+        inner = tmp_path / "inner-bom.nt"
+        inner.write_bytes(b"<urn:s> <urn:p> <urn:o> .\n\xef\xbb\xbf<urn:s> <urn:p> <urn:q> .\n")
+        code, out, err = run(capsys, "infer", inner, "--format", "nt")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {inner}: line 2: ")
 
     def test_blank_two_cycles_finish_fast(self, capsys, tmp_path):
         graph = tmp_path / "cycles.nt"
@@ -469,6 +503,33 @@ class TestInPlaceSaturation:
                 ("ttl", mmods.write_turtle(inferred, registry)),
             ):
                 assert run(capsys, "infer", path, "--format", fmt) == (0, text, ""), (path, fmt)
+
+
+class TestIndexesBuilt:
+    """The validate path reads the graph by predicate only, so it builds the
+    (1,) index alone; convert matches no pattern and builds none."""
+
+    def _mapped(self, registry):
+        for record in sorted(FIXTURES.glob("*.xml")):
+            try:
+                yield record, map_record(parse_mods_xml(record.read_bytes()), registry).graph
+            except (mmods.ModsParseError, mmods.MappingError):
+                continue
+
+    def test_validate_builds_only_the_predicate_index(self):
+        registry = VocabularyRegistry()
+        rules = mmods.catalog(registry)
+        for record, graph in self._mapped(registry):
+            graph.apply_rules(rules.chains(), rules.subclass_pairs())
+            mmods.validate(graph, rules, registry, infer=False)
+            assert list(graph._indexes) == [(1,)], record
+
+    def test_convert_builds_no_index(self):
+        registry = VocabularyRegistry()
+        for record, graph in self._mapped(registry):
+            mmods.write_ntriples(graph)
+            mmods.write_turtle(graph, registry)
+            assert graph._indexes == {}, record
 
 
 # Nine levels of internal entities, each ten references to the one below:

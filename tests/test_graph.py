@@ -31,7 +31,7 @@ from mmods.graph import (
     triple_sort_key,
 )
 
-from oracles import canonicalize_exhaustive
+from oracles import canonicalize_exhaustive, naive_materialize
 
 # The characters N-Triples IRIREF excludes from IRI text.
 IRIREF_EXCLUDED = [chr(c) for c in range(0x21)] + list('<>"{}|^`\\')
@@ -296,6 +296,8 @@ def test_store_against_a_model_across_copies(ops):
                 assert {tuple(map(g.term, t)) for t in found} == expected, pattern
     for g, model in zip(graphs, models):
         assert set(g.triples()) == model and len(g) == len(model)
+        # Every pattern is served by the single-position indexes.
+        assert set(g._indexes) <= {(0,), (1,), (2,)}
 
 
 class TestInstancesOf:
@@ -343,6 +345,45 @@ class TestApplyRules:
         pairs = [(Iri(f"urn:c{i}"), Iri(f"urn:c{i + 1}")) for i in range(5)]
         assert g.apply_rules([], pairs) == 5
         assert g.apply_rules([], pairs) == 0
+
+
+_RULE_PREDICATES = [P, Q, Iri("urn:r"), RDF_TYPE]
+_RULE_CLASSES = [Iri(f"urn:C{i}") for i in range(3)]
+_RULE_NODES = [A, B, BlankNode("x"), BlankNode("y")]
+_RULE_GRAPHS = st.lists(
+    st.tuples(
+        st.sampled_from(_RULE_NODES),
+        st.sampled_from(_RULE_PREDICATES),
+        st.sampled_from(_RULE_NODES + _RULE_CLASSES + [Literal("v")]),
+    ),
+    max_size=25,
+)
+# Predicates are drawn from one small pool, so chains share predicates, imply
+# one of their own premises (q = p1 or q = p2) and chain through rdf:type;
+# pairs drawn from three classes give subclass chains, self-loops and cycles.
+_CHAINS = st.lists(
+    st.tuples(
+        st.sampled_from(_RULE_PREDICATES),
+        st.sampled_from(_RULE_PREDICATES),
+        st.booleans(),
+        st.sampled_from(_RULE_PREDICATES),
+    ),
+    max_size=4,
+)
+_SUBCLASS_PAIRS = st.lists(st.tuples(*[st.sampled_from(_RULE_CLASSES)] * 2), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RULE_GRAPHS, _CHAINS, _SUBCLASS_PAIRS)
+def test_apply_rules_against_a_naive_fixpoint(triples, chains, pairs):
+    g = Graph()
+    for t in triples:
+        g.add(*t)
+    want = naive_materialize(g, chains=chains, subclass_pairs=pairs)
+    size = len(g)
+    assert g.apply_rules(chains, pairs) == len(want) - size
+    assert set(g.triples()) == set(want.triples())
+    assert g.apply_rules(chains, pairs) == 0
 
 
 def relabeled_shuffled(g, seed):

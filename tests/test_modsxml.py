@@ -5,7 +5,9 @@ import pathlib
 import pytest
 
 from mmods.modsxml import (
+    MODS_NS,
     ModsDocument,
+    ModsElement,
     ModsParseError,
     ModsStructureError,
     parse_mods_xml,
@@ -93,6 +95,15 @@ class TestRecognition:
         assert child.ns == "urn:other"
         assert not child.recognized
 
+    def test_foreign_namespace_in_a_mods_record_not_recognized(self):
+        doc = parse_mods_xml(
+            '<mods xmlns="http://www.loc.gov/mods/v3" xmlns:f="urn:other">'
+            "<f:namePart>x</f:namePart><namePart>y</namePart></mods>"
+        )
+        foreign, own = doc.root.children
+        assert (foreign.tag, foreign.ns, foreign.recognized) == ("namePart", "urn:other", False)
+        assert (own.tag, own.ns, own.recognized) == ("namePart", MODS_NS, True)
+
     def test_known_elements_recognized(self):
         doc = parse_mods_xml(fixture("dates.xml"))
         origin = doc.root.children[0]
@@ -141,3 +152,40 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ModsParseError):
             parse_mods_xml("")
+
+
+def _parsed_fixtures():
+    for path in sorted(FIXTURES.glob("*.xml")):
+        try:
+            yield path.name, parse_mods_xml(path.read_bytes())
+        except ModsParseError:
+            continue
+
+
+class TestElementContract:
+    def test_parsing_twice_gives_equal_trees(self):
+        for name, doc in _parsed_fixtures():
+            again = parse_mods_xml(fixture(name))
+            assert again.root == doc.root, name
+            assert all(type(element) is ModsElement for element in again.root.iter_tree())
+
+    @pytest.mark.parametrize("field", ["tag", "ns", "attrs", "text", "children", "recognized"])
+    def test_fields_cannot_be_assigned(self, field):
+        root = parse_mods_xml(fixture("personal.xml")).root
+        before = getattr(root, field)
+        with pytest.raises(AttributeError):
+            setattr(root, field, before)
+        assert getattr(root, field) is before
+
+    def test_collection_hand_count(self):
+        # modsCollection, then per record: mods, name, namePart, affiliation.
+        doc = parse_mods_xml(fixture("collection.xml"))
+        record = ["mods", "name", "namePart", "affiliation"]
+        assert [e.tag for e in doc.root.iter_tree()] == ["modsCollection"] + record * 2
+        assert doc.element_count() == 9
+        assert doc.root.find_all("mods") == doc.records() == list(doc.root.children)
+        assert doc.root.find_all("name") == []
+        for mods in doc.records():
+            (name,) = mods.find_all("name")
+            assert [child.tag for child in name.children] == ["namePart", "affiliation"]
+            assert name.find_all("affiliation")[0].text == "Shared Org"
