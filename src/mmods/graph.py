@@ -10,8 +10,6 @@ validator.
 
 canonicalize() produces a text form shared by exactly the graphs that are
 isomorphic under blank-node renaming, so graph comparison is string equality.
-canonical_triples() gives the same triples with the same blank labels, for
-writers that format them another way.
 
 Blank labels c0, c1, ... are chosen in two steps.  Colour refinement hashes
 each blank node with its neighbourhood until the partition stops splitting.
@@ -128,20 +126,17 @@ def triple_sort_key(t: Triple) -> tuple:
     return (term_sort_key(t.s), term_sort_key(t.p), term_sort_key(t.o))
 
 
-_LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+# The str.translate table of escape_literal: the five characters with an
+# ECHAR form take it, every other code point below U+0020 takes \uXXXX.
+_LITERAL_ESCAPES = {point: f"\\u{point:04X}" for point in range(0x20)}
+_LITERAL_ESCAPES.update(
+    {ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
+)
 
 
 def escape_literal(text: str) -> str:
-    out = []
-    for ch in text:
-        esc = _LITERAL_ESCAPES.get(ch)
-        if esc is not None:
-            out.append(esc)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    """A literal's lexical form as the body of an N-Triples string."""
+    return text.translate(_LITERAL_ESCAPES)
 
 
 def format_term(term: Term) -> str:
@@ -644,11 +639,3 @@ def canonicalize(graph: Graph) -> str:
     """Canonical N-Triples text: equal strings iff the graphs are isomorphic."""
     return _canonical_doc(graph)[0]
 
-
-def canonical_triples(graph: Graph) -> list[Triple]:
-    """The graph's triples with blank nodes renamed as canonicalize names them."""
-    _, names = _canonical_doc(graph)
-    terms = list(graph._terms)
-    for x, i in names.items():
-        terms[x] = BlankNode(f"c{i}")
-    return [Triple(terms[s], terms[p], terms[o]) for s, p, o in graph._triples]

@@ -111,9 +111,12 @@ class ModsElement(NamedTuple):
         return [child for child in self.children if child.tag == tag]
 
     def iter_tree(self) -> Iterator["ModsElement"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_tree()
+        """This element and its descendants in document order (pre-order)."""
+        stack = [self]
+        while stack:
+            element = stack.pop()
+            yield element
+            stack.extend(reversed(element.children))
 
 
 @dataclass(frozen=True)
@@ -138,23 +141,48 @@ def _split_tag(raw: str) -> tuple[str, str]:
     return raw, ""
 
 
-def _convert(node: ET.Element) -> ModsElement:
+def _element(node: ET.Element, children: tuple) -> ModsElement:
     local, ns = _split_tag(node.tag)
     return ModsElement(
         local,
         ns,
         {_ATTR_ALIASES.get(key, key): value for key, value in node.attrib.items()},
         (node.text or "").strip(),
-        tuple(map(_convert, node)),
+        children,
         ns in ("", MODS_NS) and local in RECOGNIZED_ELEMENTS,
     )
+
+
+def _convert(root: ET.Element) -> ModsElement:
+    """The ModsElement tree of an ElementTree element.
+
+    Built with an explicit stack, so any depth the XML parser accepts
+    converts: each element is made once all its children are, a leaf at once.
+    """
+    # Per open element: the node, an iterator over its children and the
+    # children converted so far.
+    stack = [(root, iter(root), [])]
+    while True:
+        node, pending, done = stack[-1]
+        for child in pending:
+            if len(child):
+                stack.append((child, iter(child), []))
+                break
+            done.append(_element(child, ()))
+        else:
+            stack.pop()
+            element = _element(node, tuple(done))
+            if not stack:
+                return element
+            stack[-1][2].append(element)
 
 
 def parse_mods_xml(data, source: str = "") -> ModsDocument:
     """Parse bytes or text into a ModsDocument.
 
-    Raises ModsParseError with line and column for malformed XML and
-    ModsStructureError when the root is not a record or collection.
+    Raises ModsParseError with line and column for malformed XML, and for
+    an encoding the XML parser cannot decode, and ModsStructureError when
+    the root is not a record or collection.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -165,6 +193,10 @@ def parse_mods_xml(data, source: str = "") -> ModsDocument:
         raise ModsParseError(
             f"{source or 'input'}: malformed XML at line {line}, column {column}: {exc.msg}"
         ) from exc
+    except (LookupError, ValueError) as exc:
+        # A declared encoding Python does not know, or one expat cannot use
+        # (a multi-byte or non-text codec).
+        raise ModsParseError(f"{source or 'input'}: unsupported XML encoding: {exc}") from exc
     converted = _convert(root)
     if converted.tag not in ("mods", "modsCollection") or converted.ns not in ("", MODS_NS):
         raise ModsStructureError(

@@ -5,6 +5,10 @@ Turtle (prefixed, grouped, no sugar beyond predicate and object lists),
 and a JSON validation-report document. One reader: N-Triples, for
 round-trip testing and graph-file inputs.
 
+The Turtle writer works on the graph's id triples and the blank labels of
+the one canonical labelling: each distinct term is formatted once into a
+per-id text table, and "a" stands for rdf:type only as a predicate.
+
 The reader walks each line with one precompiled pattern per term (subject,
 predicate, object with its datatype or language tag, and the line end),
 each matched at the current position. A term without a backslash is used
@@ -23,6 +27,7 @@ from .graph import (
     OWL_NS,
     RDF_LANGSTRING,
     RDF_NS,
+    RDF_TYPE,
     RDFS_NS,
     XSD_NS,
     XSD_STRING,
@@ -30,9 +35,10 @@ from .graph import (
     Graph,
     Iri,
     Literal,
-    canonical_triples,
+    _canonical_doc,
     canonicalize,
     escape_literal,
+    format_term,
 )
 from .validate import ValidationReport
 
@@ -229,31 +235,33 @@ def read_ntriples(text: str) -> Graph:
 _LOCAL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 
 
-def _turtle_term(term, prefixes: list[tuple[str, str]]) -> str:
+def _turtle_term(term, prefixes: list[tuple[str, str]], formatted: dict) -> str:
+    """A term as Turtle writes it: an IRI under the first prefix whose local
+    name fits _LOCAL_NAME, a typed literal with its datatype's text taken
+    from (or added to) `formatted`, anything else as in N-Triples."""
     if isinstance(term, Iri):
-        if term.value == RDF_NS + "type":
-            return "a"
         for prefix, namespace in prefixes:
             if term.value.startswith(namespace):
                 local = term.value[len(namespace) :]
                 if _LOCAL_NAME.fullmatch(local):
                     return f"{prefix}:{local}"
         return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    quoted = f'"{escape_literal(term.lexical)}"'
-    if term.lang is not None:
-        return f"{quoted}@{term.lang}"
-    if term.datatype == XSD_STRING:
-        return quoted
-    return f"{quoted}^^{_turtle_term(term.datatype, prefixes)}"
+    if isinstance(term, Literal) and term.lang is None and term.datatype != XSD_STRING:
+        datatype = formatted.get(term.datatype)
+        if datatype is None:
+            datatype = formatted[term.datatype] = _turtle_term(term.datatype, prefixes, formatted)
+        return f'"{escape_literal(term.lexical)}"^^{datatype}'
+    return format_term(term)
 
 
 def write_turtle(graph: Graph, registry) -> str:
     """Prefixed Turtle, grouped by subject, deterministic.
 
     Content is exactly the canonical N-Triples form: same triples, same
-    blank labels. Predicate groups use ';', object lists use ','.
+    blank labels, taken from the one labelling canonicalize uses.  Each
+    distinct term is formatted once; rdf:type is written "a" as a predicate
+    only, the one place Turtle allows it.  Predicate groups use ';', object
+    lists use ','.
     """
     prefixes = [
         ("mmods", registry.base_iri),
@@ -264,27 +272,31 @@ def write_turtle(graph: Graph, registry) -> str:
     ]
     lines = [f"@prefix {prefix}: <{namespace}> ." for prefix, namespace in prefixes]
 
-    by_subject: dict = {}
-    order: list = []
-    for s, p, o in canonical_triples(graph):
-        key = _turtle_term(s, prefixes)
-        if key not in by_subject:
-            by_subject[key] = {}
-            order.append(key)
-        by_subject[key].setdefault(_turtle_term(p, prefixes), []).append(
-            _turtle_term(o, prefixes)
-        )
+    _, labels = _canonical_doc(graph)
+    formatted: dict = {}  # term -> its Turtle text; each is formatted once
+    text = {}  # term id -> its Turtle text, for every term of a triple
+    for x in {x for t in graph._triples for x in t}:
+        term = graph._terms[x]
+        if x in labels:
+            text[x] = f"_:c{labels[x]}"
+        elif term in formatted:  # a datatype already written
+            text[x] = formatted[term]
+        else:
+            text[x] = formatted[term] = _turtle_term(term, prefixes, formatted)
+    by_subject: dict[int, dict[int, list[str]]] = {}
+    for s, p, o in graph._triples:
+        by_subject.setdefault(s, {}).setdefault(p, []).append(text[o])
 
-    for subject in sorted(order):
-        lines.append("")
-        predicates = by_subject[subject]
+    rdf_type = graph.term_id(RDF_TYPE)
+    for s in sorted(by_subject, key=text.__getitem__):
+        predicates = by_subject[s]
         # rdf:type first, then the rest sorted; objects sorted within each.
-        keys = sorted(predicates, key=lambda k: (k != "a", k))
+        keys = sorted(predicates, key=lambda p: (p != rdf_type, text[p]))
         body = [
-            f"    {predicate} " + ", ".join(sorted(predicates[predicate]))
-            for predicate in keys
+            f"    {'a' if p == rdf_type else text[p]} " + ", ".join(sorted(predicates[p]))
+            for p in keys
         ]
-        lines.append(subject + "\n" + " ;\n".join(body) + " .")
+        lines.append("\n" + text[s] + "\n" + " ;\n".join(body) + " .")
     return "\n".join(lines) + "\n"
 
 

@@ -3,7 +3,9 @@
 Everything here works by plain scans over the raw triple list, never through
 the library's indexed lookups or its constraint checker, so agreement between
 the two is meaningful.  The N-Triples reference reader scans its input one
-character at a time, with none of the library reader's patterns or cache.
+character at a time, with none of the library reader's patterns or cache,
+and the literal escaper takes one character at a time where the library's
+uses one translate table.
 The reference validator is the exception: it is the library's former
 term-level constraint checker, which the id-level one must match finding for
 finding.
@@ -334,6 +336,24 @@ def canonicalize_exhaustive(graph):
     if not blanks:
         return "".join(line + "\n" for line in sorted(format_triple(t) for t in triples))
     return _exhaustive_doc(triples, blanks, {b: "" for b in blanks})
+
+
+_LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def escape_literal_reference(text):
+    """The library's former per-character literal escaper: ECHAR for the
+    five characters that have one, \\uXXXX for the rest below U+0020."""
+    out = []
+    for ch in text:
+        esc = _LITERAL_ESCAPES.get(ch)
+        if esc is not None:
+            out.append(esc)
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
 
 
 _NT_ESCAPES = {

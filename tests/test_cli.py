@@ -555,6 +555,30 @@ def test_entity_expansion_is_refused(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("depth", [990, 100_000])
+def test_deep_nesting_converts(tmp_path, depth):
+    # Deeper than the interpreter's recursion limit: the element tree is
+    # built without recursion, and the unknown element is reported once.
+    record = tmp_path / "deep.xml"
+    record.write_text("<mods><name>" + "<x>" * depth + "</x>" * depth + "</name></mods>")
+    start = time.perf_counter()
+    done = fresh_python("-m", "mmods.cli", "convert", record, "--format", "nt")
+    assert time.perf_counter() - start < 5.0
+    assert done.returncode == 0
+    assert "mmods-o/Agent> ." in done.stdout
+    assert done.stderr == f"warning: {record}: unmapped element name/x\n"
+
+
+@pytest.mark.parametrize("command", ["convert", "validate"])
+def test_unknown_encoding_exits_1(tmp_path, command):
+    record = tmp_path / "enc.xml"
+    record.write_text('<?xml version="1.0" encoding="foo"?><mods/>')
+    done = fresh_python("-m", "mmods.cli", command, record)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {record}: unsupported XML encoding: unknown encoding: foo\n"
+    assert "Traceback" not in done.stderr
+
+
 class TestExitCodeContract:
     def test_all_observed_codes_documented(self, capsys, tmp_path):
         observed = set()

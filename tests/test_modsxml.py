@@ -1,11 +1,13 @@
 """XML parsing: tree shape, attribute normalization, error reporting."""
 
 import pathlib
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from mmods.modsxml import (
     MODS_NS,
+    RECOGNIZED_ELEMENTS,
     ModsDocument,
     ModsElement,
     ModsParseError,
@@ -153,6 +155,12 @@ class TestErrors:
         with pytest.raises(ModsParseError):
             parse_mods_xml("")
 
+    @pytest.mark.parametrize("encoding", ["foo", "rot13", "utf-7", "utf-32", "undefined"])
+    def test_undecodable_encoding(self, encoding):
+        # Unknown to Python, not a text codec, or a codec expat cannot use.
+        with pytest.raises(ModsParseError, match="^rec.xml: unsupported XML encoding: "):
+            parse_mods_xml(f'<?xml version="1.0" encoding="{encoding}"?><mods/>', source="rec.xml")
+
 
 def _parsed_fixtures():
     for path in sorted(FIXTURES.glob("*.xml")):
@@ -160,6 +168,58 @@ def _parsed_fixtures():
             yield path.name, parse_mods_xml(path.read_bytes())
         except ModsParseError:
             continue
+
+
+def _convert_recursively(node):
+    """The element tree conversion as a plain recursion, for comparison."""
+    tag = node.tag
+    local, ns = (tag[1:].split("}")[::-1] if tag.startswith("{") else (tag, ""))
+    aliases = {
+        "{http://www.w3.org/XML/1998/namespace}lang": "xml:lang",
+        "{http://www.w3.org/1999/xlink}href": "xlink:href",
+    }
+    return ModsElement(
+        local,
+        ns,
+        {aliases.get(key, key): value for key, value in node.attrib.items()},
+        (node.text or "").strip(),
+        tuple(map(_convert_recursively, node)),
+        ns in ("", MODS_NS) and local in RECOGNIZED_ELEMENTS,
+    )
+
+
+# Branches of different depths and widths, so a child list is closed while
+# its parent still has children to come.
+_BRANCHY = (
+    '<mods xmlns="http://www.loc.gov/mods/v3" xml:lang="en"><name type="personal">'
+    '<namePart>A</namePart><x><y><z a="1">deep</z></y><y/></x><namePart>B</namePart></name>'
+    "<note/><originInfo><dateIssued>2001</dateIssued></originInfo>"
+    '<f:x xmlns:f="urn:f"><namePart/></f:x></mods>'
+)
+
+
+class TestTreeWithoutRecursion:
+    def test_same_trees_as_a_recursive_conversion(self):
+        sources = [_BRANCHY, *(fixture(name) for name, _ in _parsed_fixtures())]
+        for source in sources:
+            expected = _convert_recursively(ET.fromstring(source))
+            assert parse_mods_xml(source).root == expected
+
+    def test_iter_tree_is_document_order(self):
+        doc = parse_mods_xml(_BRANCHY)
+        tags = [e.tag for e in doc.root.iter_tree()]
+        assert tags == [node.tag.rpartition("}")[2] for node in ET.fromstring(_BRANCHY).iter()]
+        assert tags[:8] == ["mods", "name", "namePart", "x", "y", "z", "y", "namePart"]
+        assert doc.element_count() == len(tags) == 13
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        depth = 20_000
+        doc = parse_mods_xml("<mods><name>" + "<x>" * depth + "</x>" * depth + "</name></mods>")
+        assert doc.element_count() == depth + 2
+        element = doc.root.children[0]
+        for _ in range(depth):
+            (element,) = element.children
+        assert element.tag == "x" and element.children == ()
 
 
 class TestElementContract:

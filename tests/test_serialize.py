@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from mmods.axioms import catalog
 from mmods.graph import (
+    OWL_NS,
     RDF_NS,
     XSD_BOOLEAN,
+    XSD_NS,
     XSD_STRING,
     BlankNode,
     Graph,
@@ -20,6 +22,7 @@ from mmods.graph import (
     Literal,
     RDF_TYPE,
     canonicalize,
+    escape_literal,
 )
 from mmods.mapping import map_record
 from mmods.modsxml import parse_mods_xml
@@ -34,7 +37,7 @@ from mmods.serialize import (
 from mmods.validate import Finding, ValidationReport, validate
 from mmods.vocab import VocabularyRegistry
 
-from oracles import random_vocab_graph, read_ntriples_reference
+from oracles import escape_literal_reference, random_vocab_graph, read_ntriples_reference
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SCHEMA = json.loads(
@@ -360,6 +363,25 @@ def test_whitespace_pattern_is_isspace():
         assert bool(_WHITESPACE.match(ch)) == ch.isspace(), hex(point)
 
 
+def test_escape_literal_matches_the_reference_on_every_code_point():
+    for point in range(0x110000):
+        ch = chr(point)
+        assert escape_literal(ch) == escape_literal_reference(ch), hex(point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(
+        st.one_of(
+            st.characters(exclude_categories=()),
+            st.sampled_from(["\\", '"', "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\U0001F600"]),
+        )
+    )
+)
+def test_escape_literal_matches_the_reference_on_strings(text):
+    assert escape_literal(text) == escape_literal_reference(text)
+
+
 def test_term_text_patterns_match_character_rules():
     # Blank labels run over alphanumerics and "_-."; language tags over
     # alphanumerics and "-".
@@ -424,9 +446,11 @@ class _TurtleReader:
                 i += 10
         return "".join(out)
 
+    def _verb(self, token):
+        # "a" is rdf:type in predicate position and nowhere else.
+        return RDF_TYPE if token == "a" else self._term(token)
+
     def _term(self, token):
-        if token == "a":
-            return RDF_TYPE
         if token.startswith("<"):
             assert token.endswith(">"), token
             return Iri(token[1:-1])
@@ -443,8 +467,11 @@ class _TurtleReader:
             if suffix.startswith("^^"):
                 return Literal(lexical, self._term(suffix[2:]))
             return Literal(lexical, XSD_STRING)
-        prefix, _, local = token.partition(":")
-        assert prefix in self.prefixes, token
+        # A prefixed name: the writer's local names are an ASCII subset of
+        # PN_LOCAL, letters, digits, "_" and "-", not starting with a digit or "-".
+        prefix, colon, local = token.partition(":")
+        assert colon and prefix in self.prefixes, token
+        assert re.fullmatch(r"[A-Za-z_][\w-]*", local, re.ASCII), token
         return Iri(self.prefixes[prefix] + local)
 
     def read(self):
@@ -461,7 +488,7 @@ class _TurtleReader:
                 continue
             subject = self._term(token)
             while True:
-                predicate = self._term(self._token())
+                predicate = self._verb(self._token())
                 # Object lists attach the separator comma to the object token.
                 while True:
                     obj = self._token()
@@ -480,7 +507,67 @@ def read_turtle(text):
     return _TurtleReader(text).read()
 
 
+# Terms for the Turtle writer's property test, under the default registry's
+# base IRI.  IRIs whose local part a prefix cannot take stay full; rdf:type
+# and blank nodes can fill any position they are allowed in.
+_BASE = VocabularyRegistry().base_iri
+_TTL_IRIS = [
+    Iri(_BASE + "Agent"),
+    Iri(_BASE + "hasName"),
+    RDF_TYPE,
+    Iri(OWL_NS + "Class"),
+    Iri(XSD_NS + "x-y_1"),
+    Iri(_BASE + "rec/a1"),
+    Iri(_BASE + "1st"),
+    Iri(_BASE + "caf\u00e9"),
+    Iri(_BASE),
+    Iri("urn:x"),
+    Iri("urn:\U0001F600"),
+]
+_TTL_BLANKS = [BlankNode(f"b{i}") for i in range(3)]
+_TTL_LEXICAL = _text(
+    ["a", " ", "\\", '"', "'", "\n", "\r", "\t", "\x00", "\x08", "\x1f", "\x7f"]
+    + ["\u00e9", "\u2028", "\U0001F600", ",", ";", ".", "#", "^", "@", "<", ">"]
+)
+_TTL_LITERAL = st.one_of(
+    st.builds(Literal, _TTL_LEXICAL),
+    st.builds(
+        lambda lexical, lang: Literal(lexical, lang=lang),
+        _TTL_LEXICAL,
+        st.sampled_from(["en", "en-US", "fr"]),
+    ),
+    st.builds(
+        Literal,
+        _TTL_LEXICAL,
+        st.sampled_from(
+            [XSD_BOOLEAN, Iri(XSD_NS + "date"), Iri(_BASE + "Code"), Iri(_BASE + "a/b"), Iri("urn:dt")]
+        ),
+    ),
+)
+_TTL_NODE = st.sampled_from(_TTL_IRIS + _TTL_BLANKS)
+_TTL_TRIPLES = st.lists(
+    st.tuples(
+        _TTL_NODE,
+        st.sampled_from(_TTL_IRIS),
+        st.one_of(_TTL_NODE, _TTL_LITERAL),
+    ),
+    max_size=12,
+)
+
+
 class TestWriteTurtle:
+    @settings(max_examples=300, deadline=None)
+    @given(_TTL_TRIPLES, st.integers(1, 3))
+    def test_reads_back_as_the_ntriples_document(self, reg, triples, copies):
+        # Each copy renames the blank nodes apart, so copies > 1 gives blank
+        # nodes that only the labelling search can tell apart.
+        g = Graph()
+        for copy in range(copies):
+            rename = {b: BlankNode(f"{b.label}_{copy}") for b in _TTL_BLANKS}
+            for s, p, o in triples:
+                g.add(rename.get(s, s), p, rename.get(o, o))
+        assert canonicalize(read_turtle(write_turtle(g, reg))) == write_ntriples(g)
+
     def test_empty_graph_header_only(self, reg):
         text = write_turtle(Graph(), reg)
         assert all(line.startswith("@prefix") for line in text.splitlines())
@@ -527,6 +614,47 @@ class TestWriteTurtle:
         g = Graph().add(Iri("urn:x"), Iri("http://other.example/p"), Iri("urn:y"))
         text = write_turtle(g, reg)
         assert "<http://other.example/p>" in text
+
+    def test_rdf_type_outside_predicate_position(self, reg):
+        # Turtle allows "a" only as a verb; as subject or object rdf:type is
+        # written as a prefixed name.
+        g = read_ntriples(
+            f"<urn:x> <urn:p> <{RDF_NS}type> .\n"
+            f"<{RDF_NS}type> <urn:p> <urn:y> .\n"
+            f"<{RDF_NS}type> <{RDF_NS}type> <{RDF_NS}type> .\n"
+        )
+        text = write_turtle(g, reg)
+        assert "<urn:p> rdf:type ." in text
+        assert "\nrdf:type\n    a rdf:type ;\n    <urn:p> <urn:y> .\n" in text
+        assert canonicalize(read_turtle(text)) == write_ntriples(g)
+
+    def test_reader_takes_a_only_as_a_verb(self, reg):
+        for text in ["<urn:x> <urn:p> a .\n", "a <urn:p> <urn:y> .\n"]:
+            with pytest.raises(AssertionError):
+                read_turtle(text)
+
+    def test_each_term_formatted_once(self, reg, monkeypatch):
+        import mmods.serialize
+
+        calls = []
+        real = mmods.serialize._turtle_term
+
+        def counting(term, *rest):
+            calls.append(term)
+            return real(term, *rest)
+
+        monkeypatch.setattr(mmods.serialize, "_turtle_term", counting)
+        g = fixture_graph("dates.xml", reg)
+        g.add(XSD_BOOLEAN, Iri("urn:p"), Literal("1", XSD_BOOLEAN))
+        g.add(Iri("urn:s"), Iri("urn:p"), Literal("0", XSD_BOOLEAN))
+        write_turtle(g, reg)
+        terms = {term for t in g for term in t if not isinstance(term, BlankNode)}
+        terms |= {
+            term.datatype
+            for term in terms
+            if isinstance(term, Literal) and term.lang is None and term.datatype != XSD_STRING
+        }
+        assert sorted(calls, key=repr) == sorted(terms, key=repr)
 
     def test_local_name_pattern_accepts_what_the_character_rule_did(self):
         from mmods.serialize import _LOCAL_NAME
