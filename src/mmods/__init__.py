@@ -12,6 +12,7 @@ from .axioms import (
     VocabFiller,
     catalog,
 )
+from .canonical import LabellingBudgetError, canonicalize
 from .graph import (
     BlankNode,
     Graph,
@@ -19,7 +20,6 @@ from .graph import (
     Iri,
     Literal,
     Triple,
-    canonicalize,
     instances_of,
 )
 from .inference import materialize
@@ -65,6 +65,7 @@ __all__ = [
     "Graph",
     "GraphError",
     "Iri",
+    "LabellingBudgetError",
     "Literal",
     "MappingError",
     "MappingResult",

@@ -1,0 +1,365 @@
+"""Canonical form v2: blank-node labels by integer partition refinement.
+
+canonicalize() produces a text form shared by exactly the graphs that are
+isomorphic under blank-node renaming, so graph comparison is string equality.
+Both writers take their blank labels c0, c1, ... from _canonical_labels.
+
+The labels come from refining an ordered partition of the blank nodes on
+integer cells: IRIs and literals are ranked by their N-Triples text, and a
+cell splits by its members' edge counts into another cell.  Where a cell
+still holds several blanks, a search individualizes them one at a time and
+keeps the least leaf, compared as integer triples; automorphisms found on
+the way prune branches that can only repeat a leaf.  A work budget
+proportional to the triple count bounds the search (LabellingBudgetError).
+tests/oracles.py keeps an unpruned search that must draw the same
+distinctions.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from typing import Optional
+
+from .graph import BlankNode, Graph, GraphError, format_term
+
+
+class LabellingBudgetError(GraphError):
+    """Blank-node labelling ran past its work budget (_WORK_PER_TRIPLE)."""
+
+
+# Work units blank-node labelling may spend per triple: one per adjacency
+# entry scanned or blank moved by refinement, search node, automorphism point
+# and leaf triple.  The mapper's output stays far below it; graphs built to
+# defeat refinement (Cai, Fürer & Immerman 1992) make the search exponential.
+# A graph of fewer than _WORK_MIN_TRIPLES triples gets the budget of that
+# many: small strongly regular graphs need up to 1,000 units per triple.
+_WORK_PER_TRIPLE = 1000
+_WORK_MIN_TRIPLES = 1000
+
+
+class _Partition:
+    """An ordered partition of blank ids, refined by a splitter queue.
+
+    Cells are ranges of `elems` (position -> blank; `pos` is its inverse):
+    `cell[b]` is the first position of b's cell and `end[f]` the end of the
+    cell starting at f.  `adj[w]` lists (label, v) per edge between blanks w
+    and v: 2p when v -p-> w, 2p + 1 when w -p-> v, p the predicate's rank.
+    Once `trail` is a list, splits are logged there for undo().
+    """
+
+    def __init__(self, keys: dict[int, list[int]], adj: list, triples: int):
+        n = len(keys)
+        self.elems, self.end = list(keys), [n] * n
+        self.pos, self.cell = [0] * len(adj), [0] * len(adj)
+        self.limit = _WORK_PER_TRIPLE * max(triples, _WORK_MIN_TRIPLES)
+        self.adj, self.budget, self.trail = adj, self.limit, None
+        starts = self._split(0, sorted(keys, key=keys.__getitem__), keys)
+        # The keys hold each blank's label counts toward all blanks, so all
+        # cells but one largest refine the rest.
+        largest = max(starts, key=lambda f: self.end[f] - f)
+        self.refine([f for f in starts if f != largest])
+
+    def spend(self, units: int) -> None:
+        self.budget -= units
+        if self.budget < 0:
+            raise LabellingBudgetError(
+                f"blank-node labelling passed its budget of {self.limit} steps "
+                f"({_WORK_PER_TRIPLE} per triple): the blank nodes are too symmetric"
+            )
+
+    def _split(self, c: int, touched: list[int], key: dict) -> list[int]:
+        """Move the touched blanks of cell c, sorted by key, to its back and
+        start a cell at each new key; returns the parts' starts.  `key` must
+        hold no other blank of the cell."""
+        elems, pos, cell, end = self.elems, self.pos, self.cell, self.end
+        e = end[c]
+        back = e - len(touched)
+        front = [v for v in touched if pos[v] < back]
+        holes = [pos[v] for v in front]
+        old = elems[back:e]
+        if self.trail is not None:
+            self.trail.append((c, e, touched, front, holes, old))
+        for h, u in zip(holes, [u for u in old if u not in key]):
+            elems[h], pos[u] = u, h
+        elems[back:e] = touched
+        starts = [c] if back > c else []
+        for i, v in enumerate(touched, back):
+            pos[v] = i
+            if i == back or key[v] != key[elems[i - 1]]:
+                starts.append(i)
+            cell[v] = starts[-1]
+        for f, next_start in zip(starts, starts[1:] + [e]):
+            end[f] = next_start
+        return starts
+
+    def undo(self, mark: int) -> None:
+        elems, pos, cell, end, trail = self.elems, self.pos, self.cell, self.end, self.trail
+        while len(trail) > mark:
+            c, e, touched, front, holes, old = trail.pop()
+            elems[e - len(old) : e] = old
+            for i, u in enumerate(old, e - len(old)):
+                pos[u] = i
+            for h, v in zip(holes, front):
+                elems[h], pos[v] = v, h
+            for v in touched:
+                cell[v] = c
+            end[c] = e
+
+    def target(self, f: int) -> Optional[int]:
+        """The first cell from position f on with several blanks, or None."""
+        n, end = len(self.elems), self.end
+        while f < n and end[f] - f == 1:
+            f = end[f]
+        return f if f < n else None
+
+    def refine(self, queue: list[int]) -> None:
+        """Split cells by their label counts toward each queued cell in turn.
+
+        A split moves the touched blanks to the back of the cell, in count
+        key order (untouched first), so it costs the blanks touched.  All
+        parts but one largest are queued; all are if the cell is queued.
+        """
+        elems, cell, end, adj = self.elems, self.cell, self.end, self.adj
+        queued = set(queue)
+        steps = 0
+        for f in queue:
+            queued.discard(f)
+            marks: dict[int, list[int]] = {}  # touched blank -> its labels, its count key
+            for w in elems[f : end[f]]:
+                steps += len(adj[w]) + 1
+                for label, v in adj[w]:
+                    if v in marks:
+                        marks[v].append(label)
+                    else:
+                        marks[v] = [label]
+            by_cell: dict[int, list[int]] = {}
+            for v, labels in marks.items():
+                c = cell[v]
+                if end[c] - c > 1:
+                    by_cell.setdefault(c, []).append(v)
+                    labels.sort()
+            for c in sorted(by_cell):
+                touched = by_cell[c]
+                touched.sort(key=marks.__getitem__)
+                if len(touched) == end[c] - c and marks[touched[0]] == marks[touched[-1]]:
+                    continue
+                steps += len(touched)
+                starts = self._split(c, touched, marks)
+                sizes = {a: b - a for a, b in zip(starts, starts[1:] + [end[starts[-1]]])}
+                if c not in queued:
+                    del sizes[max(starts, key=sizes.__getitem__)]
+                new = [a for a in sizes if a not in queued]
+                queue += new
+                queued.update(new)
+        self.spend(steps)
+
+    def automorphism(self, moved_to: dict, moved_from: dict, edges: set) -> dict[int, int]:
+        """The moved points of a map from a sibling's refinement to this one,
+        if it keeps the edges between blanks; else {}.
+
+        `moved_to` maps the blanks the sibling's refinement moved to their
+        last cells, `moved_from` those of this one to their first.  A blank
+        in the same cell in both stays put; the others pair up cell by cell.
+        The map keeps each blank in its first cell, so it also keeps every
+        edge to an IRI or literal.
+        """
+        leaving: defaultdict[int, list[int]] = defaultdict(list)
+        arriving: defaultdict[int, list[int]] = defaultdict(list)
+        for v, c in {**moved_from, **moved_to}.items():
+            if c != self.cell[v]:
+                leaving[c].append(v)
+                arriving[self.cell[v]].append(v)
+        if any(len(vs) != len(arriving[c]) for c, vs in leaving.items()):
+            return {}
+        moved = {v: u for c, vs in leaving.items() for v, u in zip(vs, arriving[c])}
+        self.spend(len(moved))
+        for v in moved:
+            for label, u in self.adj[v]:
+                s, o = (u, v) if label % 2 == 0 else (v, u)
+                if (moved.get(s, s), label >> 1, moved.get(o, o)) not in edges:
+                    return {}
+        return moved
+
+
+class _Orbits(dict):
+    """Union-find over blanks (blank -> parent; a root -> minus its orbit's
+    size): the orbits of the automorphisms taken in, from `seen` on.  The
+    nodes of the first path share one, as every automorphism found so far
+    fixes the path to the deepest of them still open."""
+
+    def __init__(self, seen: int = 0):
+        super().__init__()
+        self.seen = seen
+
+    def find(self, b: int) -> int:
+        while self.get(b, -1) >= 0:
+            b = self[b]
+        return b
+
+    def take_in(self, automorphisms: list, depth: int, part: _Partition) -> None:
+        """Merge orbits along each new automorphism that fixes the path to depth."""
+        for found, moved in automorphisms[self.seen :]:
+            if found >= depth:
+                part.spend(len(moved))
+                for a, b in moved.items():
+                    a, b = self.find(a), self.find(b)
+                    if a != b:
+                        if self.get(a, -1) > self.get(b, -1):
+                            a, b = b, a
+                        self[a] = self.get(a, -1) + self.get(b, -1)
+                        self[b] = a
+        self.seen = len(automorphisms)
+
+
+class _Node:
+    """A search-tree node: the cell it branches on, the trail length of its
+    partition, its orbits, and `model`: the last cells of the blanks moved
+    by its first child that is not a leaf, for later children to match."""
+
+    __slots__ = ("start", "end", "mark", "orbits", "next", "tried", "model")
+
+    def __init__(self, start: int, end: int, mark: int, orbits: _Orbits):
+        self.start, self.end, self.mark, self.orbits = start, end, mark, orbits
+        self.next, self.tried, self.model = start, [], None
+
+    def next_child(self, part: _Partition, automorphisms: list, depth: int) -> Optional[int]:
+        """The next child to search, in position order, or None once the rest
+        lie in the orbits of searched ones."""
+        orbits = self.orbits
+        orbits.take_in(automorphisms, depth, part)
+        roots = {orbits.find(b) for b in self.tried}
+        part.spend(len(roots))
+        if -sum(orbits.get(r, -1) for r in roots) == self.end - self.start:
+            return None
+        while self.next < self.end:
+            b = part.elems[self.next]
+            self.next += 1
+            part.spend(1)
+            if orbits.find(b) not in roots:
+                self.tried.append(b)
+                return b
+        return None
+
+
+def _canonical_labels(graph: Graph, text: Optional[list] = None) -> dict[int, int]:
+    """The blank id -> N map (label cN) of canonical form v2.  `text` may
+    hold the N-Triples text of the graph's IRIs and literals, by id.
+
+    Store ids never decide a label.  The blanks start in cells of equal
+    signatures, ordered by signature, and the partition is refined until
+    equitable.  The search branches on the first cell with several blanks.
+    Automorphisms prune it (McKay & Piperno, "Practical graph isomorphism
+    II", 2014): a leaf equal to one seen before gives one, and so does a
+    child whose refinement maps onto its first sibling's under a map that
+    keeps the edges.  A child in the orbit of a searched sibling is skipped,
+    and a leaf equal to the first returns to where its path left the first
+    path.
+    """
+    terms, triples = graph._terms, graph._triples
+    blanks = {x for x, term in enumerate(terms) if type(term) is BlankNode}
+    held = [t for t in triples if t[0] in blanks or t[2] in blanks]
+    if not held:
+        return {}
+    near = {x for t in held for x in t} - blanks
+    key = text.__getitem__ if text is not None else lambda x: format_term(terms[x])
+    rank = {x: r for r, x in enumerate(sorted(near, key=key))}
+    width = len(rank) + 1
+    # Signatures as integers: (p, other term) * 4 + kind for a self-loop
+    # (0, other = width - 1), an edge to (1) or from (2) a ranked term, and
+    # label * 4 + 3 for an edge between blanks.
+    sigs: defaultdict[int, list[int]] = defaultdict(list)
+    adj: list[list[tuple[int, int]]] = [[] for _ in terms]
+    edges = set()
+    coded = []  # held triples, a blank b as ~b and other terms as ranks
+    for s, p, o in held:
+        p, s_blank, o_blank = rank[p], s in blanks, o in blanks
+        if s_blank and o_blank and s != o:
+            adj[o].append((2 * p, s))
+            adj[s].append((2 * p + 1, o))
+            sigs[s].append(8 * p + 3)
+            sigs[o].append(8 * p + 7)
+            edges.add((s, p, o))
+        elif not s_blank:
+            sigs[o].append((p * width + rank[s]) * 4 + 2)
+        elif s == o:
+            sigs[s].append((p * width + width - 1) * 4)
+        else:
+            sigs[s].append((p * width + rank[o]) * 4 + 1)
+        coded.append((~s if s_blank else rank[s], p, ~o if o_blank else rank[o]))
+    part = _Partition({b: sorted(sig) for b, sig in sigs.items()}, adj, len(triples))
+    if part.target(0) is None:
+        return {b: i for i, b in enumerate(part.elems)}
+
+    part.trail = trail = []
+    automorphisms: list[tuple[int, dict[int, int]]] = []  # (depth of the path fixed, moved points)
+    first_path = _Orbits()
+    first = best = None  # (certificate, position -> blank, path) of a leaf
+    nodes: list[_Node] = []
+    path: list[int] = []
+    start, moved_from = 0, {}
+    while True:
+        c = part.target(start)
+        if c is None:
+            pos = part.pos
+            leaf = (
+                sorted([(s if s >= 0 else width + pos[~s], p, o if o >= 0 else width + pos[~o]) for s, p, o in coded]),
+                list(part.elems),
+                list(path),
+            )
+            part.spend(len(coded) + len(part.elems))
+            ref = first if first and leaf[0] == first[0] else best if best and leaf[0] == best[0] else None
+            if ref is not None:
+                k = 0
+                while path[k] == ref[2][k]:
+                    k += 1
+                automorphisms.append((k, {a: b for a, b in zip(ref[1], leaf[1]) if a != b}))
+                if ref is first:
+                    # The automorphism maps the first path's child at depth k
+                    # onto this one, so the rest of this subtree repeats the
+                    # first child's leaves.
+                    del nodes[k + 1 :]
+            elif best is None or leaf[0] < best[0]:
+                first, best = first or leaf, leaf
+        else:
+            moved = nodes and nodes[-1].model and part.automorphism(nodes[-1].model, moved_from, edges)
+            if moved:
+                automorphisms.append((len(nodes) - 1, moved))
+            else:
+                if nodes and nodes[-1].model is None:
+                    nodes[-1].model = {v: part.cell[v] for v in moved_from}
+                orbits = first_path if first is None else _Orbits(len(automorphisms))
+                nodes.append(_Node(c, part.end[c], len(trail), orbits))
+        while nodes:
+            node = nodes[-1]
+            part.undo(node.mark)
+            child = node.next_child(part, automorphisms, len(nodes) - 1)
+            if child is not None:
+                break
+            nodes.pop()
+        else:
+            return {b: i for i, b in enumerate(best[1])}
+        del path[len(nodes) - 1 :]
+        path.append(child)
+        part.spend(1)
+        mark = len(trail)
+        part._split(part.cell[child], [child], {child: 0})
+        part.refine([part.cell[child]])
+        moved_from = {}
+        for c, _, touched, *_ in trail[mark:]:
+            for v in touched:
+                moved_from.setdefault(v, c)
+        start = node.start
+
+
+def canonicalize(graph: Graph) -> str:
+    """Canonical N-Triples text (canonical form v2): equal strings iff the
+    graphs are isomorphic, blank nodes labelled c0, c1, ..."""
+    terms = graph._terms
+    text: list = [None] * len(terms)
+    for x in {x for t in graph._triples for x in t}:
+        if type(terms[x]) is not BlankNode:
+            text[x] = format_term(terms[x])
+    for x, n in _canonical_labels(graph, text).items():
+        text[x] = f"_:c{n}"
+    lines = sorted(f"{text[s]} {text[p]} {text[o]} ." for s, p, o in graph._triples)
+    return "".join(line + "\n" for line in lines)

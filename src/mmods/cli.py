@@ -1,9 +1,12 @@
 """Command-line interface: convert, validate, infer, emit-ontology, vocab.
 
-Exit codes: 0 success, 1 parse failure (also a bad or repeated record ID),
-2 I/O or usage failure (also an invalid base IRI), 3 validation found
-errors, 4 unknown vocabulary name. Artifacts go to stdout (or --out),
-diagnostics to stderr. Same inputs and flags produce byte-identical output.
+Exit codes: 0 success, 1 parse failure (also a bad or repeated record ID,
+or blank nodes too symmetric to label within the work budget of
+canonical._WORK_PER_TRIPLE steps per triple, for at least
+canonical._WORK_MIN_TRIPLES triples), 2 I/O or usage failure (also an
+invalid base IRI), 3 validation found errors, 4 unknown vocabulary name.
+Artifacts go to stdout (or --out) as UTF-8 whatever the locale, diagnostics
+to stderr. Same inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import os
 import sys
 
 from .axioms import catalog
+from .canonical import LabellingBudgetError
 from .graph import BlankNode, Graph
 from .mapping import MappingError, map_record
 from .modsxml import ModsParseError, parse_mods_xml
@@ -62,7 +66,14 @@ def _read_bytes(path: str) -> bytes:
 
 def _write_output(text: str, out_path) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        # The bytes --out would hold, whatever encoding stdout was given; a
+        # stdout with no byte layer (such as an io.StringIO) takes the text.
+        stdout = getattr(sys.stdout, "buffer", None)
+        if stdout is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            stdout.write(text.encode("utf-8"))
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
@@ -125,9 +136,12 @@ def _merge(graphs: list[Graph]) -> Graph:
 
 
 def _serialize_graph(graph: Graph, registry, fmt: str) -> str:
-    if fmt == "nt":
-        return write_ntriples(graph)
-    return write_turtle(graph, registry)
+    try:
+        if fmt == "nt":
+            return write_ntriples(graph)
+        return write_turtle(graph, registry)
+    except LabellingBudgetError as exc:
+        raise _CliError(EXIT_PARSE, str(exc)) from exc
 
 
 def _cmd_convert(args) -> int:

@@ -1,4 +1,4 @@
-"""Terms, the in-memory graph and its id store, saturation, canonicalization.
+"""Terms, the in-memory graph and its id store, saturation.
 
 A Graph has set semantics: adding a triple twice leaves one copy.  It is the
 one store: terms are interned to integer ids, and pattern matching and
@@ -6,23 +6,11 @@ rule saturation (apply_rules) run on the id triples.  Its indexes, one per
 triple position, are built on first use, so building and writing a graph
 maintains none, and saturation and validation build only the predicate
 index (1,).  term_id, term and match_ids expose the id level to the
-validator.
-
-canonicalize() produces a text form shared by exactly the graphs that are
-isomorphic under blank-node renaming, so graph comparison is string equality.
-
-Blank labels c0, c1, ... are chosen in two steps.  Colour refinement hashes
-each blank node with its neighbourhood until the partition stops splitting.
-Where colours are still shared, a search individuates blank nodes one at a
-time and keeps the least N-Triples document over all leaves; automorphisms
-found on the way prune branches that can only repeat documents already seen.
-The pruning leaves the result unchanged: it is byte for byte the document of
-the unpruned search (tests/oracles.py keeps that search as a reference).
+validator.  Canonical text and blank labels are canonical.py's.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -400,242 +388,3 @@ def instances_of(graph: Graph, class_iri: Iri, catalog=None) -> list[Node]:
                     changed = True
     found = {t.s for cls in classes for t in graph.match(None, RDF_TYPE, cls)}
     return sorted(found, key=term_sort_key)
-
-
-def _signature_parts(
-    triples: list[tuple[int, int, int]], position: dict[int, int], text: list
-) -> tuple[list[list[str]], list[list[tuple[str, int, str]]]]:
-    """Each blank's neighbourhood signatures, split into fixed text and colour slots.
-
-    Both lists are indexed by the blank's position in `position`.  A triple
-    contributes one signature to each blank it holds (two to a blank in both
-    places): its three terms joined by spaces, with "~" for the focus and "?"
-    plus the current colour for another blank.  Signatures naming no other
-    blank are fixed text; the rest are (prefix, other blank, suffix).
-    """
-    fixed: list[list[str]] = [[] for _ in position]
-    slots: list[list[tuple[str, int, str]]] = [[] for _ in position]
-    for s, p, o in triples:
-        bs, bo, pred = position.get(s), position.get(o), text[p]
-        if bs is not None:
-            if bo == bs:
-                fixed[bs].append(f"~ {pred} ~")
-            elif bo is not None:
-                slots[bs].append((f"~ {pred} ?", bo, ""))
-            else:
-                fixed[bs].append(f"~ {pred} {text[o]}")
-        if bo is not None:
-            if bs == bo:
-                fixed[bo].append(f"~ {pred} ~")
-            elif bs is not None:
-                slots[bo].append(("?", bs, f" {pred} ~"))
-            else:
-                fixed[bo].append(f"{text[s]} {pred} ~")
-    return fixed, slots
-
-
-def _refine(colors: list[str], fixed: list, slots: list) -> list[str]:
-    """Rehash every blank with its neighbourhood until no colour class splits.
-
-    A new colour hashes the old one first, so classes only ever split and
-    an unchanged class count means an unchanged partition.
-    """
-    classes = len(set(colors))
-    while True:
-        new = []
-        for color, own, around in zip(colors, fixed, slots):
-            sigs = own + [pre + colors[other] + post for pre, other, post in around]
-            sigs.sort()
-            payload = color + "\x00" + "\x00".join(sigs)
-            new.append(hashlib.sha256(payload.encode()).hexdigest())
-        count = len(set(new))
-        if count == classes:
-            return new
-        colors, classes = new, count
-
-
-def _target_cell(colors: list[str]) -> Optional[list[int]]:
-    """Members of the least colour shared by several blanks, or None if none is."""
-    groups: dict[str, list[int]] = {}
-    for b, color in enumerate(colors):
-        groups.setdefault(color, []).append(b)
-    tied = [color for color, members in groups.items() if len(members) > 1]
-    return groups[min(tied)] if tied else None
-
-
-def _same_colour_moves(model: list[str], colors: list[str]) -> dict[int, int]:
-    """The moved blanks of a bijection onto blanks of the same colour in `colors`.
-
-    Blanks that keep their colour stay put; the others pair up in label
-    order.  Empty when the two colourings do not have the same classes.
-    """
-    classes: dict[str, tuple[list[int], list[int]]] = {}
-    for b, color in enumerate(model):
-        classes.setdefault(color, ([], []))[0].append(b)
-    for b, color in enumerate(colors):
-        if color not in classes:
-            return {}
-        classes[color][1].append(b)
-    moved: dict[int, int] = {}
-    for before, after in classes.values():
-        if len(before) != len(after):
-            return {}
-        kept = set(before) & set(after)
-        moved.update(zip((b for b in before if b not in kept), (b for b in after if b not in kept)))
-    return moved
-
-
-class _Node:
-    """A search-tree node: its refined colours and the tied class it branches on.
-
-    Children are tried in label order.  A child is skipped when an
-    automorphism fixing the node's path maps it onto a child already tried,
-    since both subtrees then hold the same documents.  `model` keeps the
-    colours of one searched child that is not a leaf, and the blank it
-    individuated.
-    """
-
-    __slots__ = ("colors", "cell", "next", "tried", "orbit", "seen", "model")
-
-    def __init__(self, colors: list[str], cell: list[int]):
-        self.colors = colors
-        self.cell = cell
-        self.next = 0
-        self.tried: list[int] = []
-        self.orbit: dict[int, int] = {}
-        self.seen = 0
-        self.model: Optional[tuple[list[str], int]] = None
-
-    def _root(self, b: int) -> int:
-        orbit = self.orbit
-        while orbit.get(b, b) != b:
-            b = orbit[b]
-        return b
-
-    def next_child(self, automorphisms: list[dict[int, int]], path: list[int]) -> Optional[int]:
-        """The next child to search, or None once the rest lie in searched orbits."""
-        for moved in automorphisms[self.seen :]:
-            if not any(b in moved for b in path):
-                for b, image in moved.items():
-                    rb, ri = self._root(b), self._root(image)
-                    if rb != ri:
-                        self.orbit[max(rb, ri)] = min(rb, ri)
-        self.seen = len(automorphisms)
-        tried = {self._root(b) for b in self.tried}
-        while self.next < len(self.cell):
-            b = self.cell[self.next]
-            self.next += 1
-            if self._root(b) not in tried:
-                self.tried.append(b)
-                return b
-        return None
-
-
-def _canonical_doc(graph: Graph) -> tuple[str, dict[int, int]]:
-    """The least canonical document and the blank id -> N map (label cN) behind it.
-
-    Colour refinement splits the blanks by their neighbourhoods.  While a
-    colour is still shared, the search individuates each member of the least
-    such class in turn and keeps the least leaf document.  Automorphisms
-    prune the search (McKay & Piperno, "Practical graph isomorphism II",
-    2014): two leaves with the same document give one, and so does a child
-    whose colours match a searched sibling's under a map that preserves the
-    triples.  A child in the orbit of a searched sibling is skipped, and a
-    leaf equal to the first leaf returns to where its path left the first
-    path.  Every pruned subtree is an image of a searched one, so the result
-    is the least document over the whole tree.
-    """
-    terms, triples = graph._terms, list(graph._triples)
-    ids = {x for t in triples for x in t}
-    blank_ids = sorted(
-        (x for x in ids if isinstance(terms[x], BlankNode)), key=lambda x: terms[x].label
-    )
-    text: list = [None] * len(terms)
-    for x in ids:
-        if not isinstance(terms[x], BlankNode):
-            text[x] = format_term(terms[x])
-
-    def document(order: list[int]) -> str:
-        for i, b in enumerate(order):
-            text[blank_ids[b]] = f"_:c{i}"
-        lines = sorted(f"{text[s]} {text[p]} {text[o]} ." for s, p, o in triples)
-        return "".join(line + "\n" for line in lines)
-
-    if not blank_ids:
-        return document([]), {}
-    fixed, slots = _signature_parts(triples, {x: b for b, x in enumerate(blank_ids)}, text)
-
-    def preserves_triples(moved: dict[int, int]) -> bool:
-        rename = {blank_ids[b]: blank_ids[c] for b, c in moved.items()}
-        return all(
-            (rename.get(s, s), p, rename.get(o, o)) in graph._triples
-            for x in rename
-            for s, p, o in graph.match_ids(x, WILDCARD, WILDCARD)
-            + graph.match_ids(WILDCARD, WILDCARD, x)
-        )
-
-    colors = _refine([""] * len(blank_ids), fixed, slots)
-    first = best = None  # (document, blanks in cN order, path) of a leaf
-    automorphisms: list[dict[int, int]] = []  # moved points only
-    path: list[int] = []
-    nodes: list[_Node] = []
-    while True:
-        cell = _target_cell(colors)
-        if cell is None:
-            order = sorted(range(len(colors)), key=colors.__getitem__)
-            leaf = (document(order), order, list(path))
-            if first is None:
-                first = best = leaf
-            elif leaf[0] == first[0] or leaf[0] == best[0]:
-                ref = first if leaf[0] == first[0] else best
-                moved = {a: b for a, b in zip(ref[1], order) if a != b}
-                if moved:
-                    automorphisms.append(moved)
-                if ref is first:
-                    # Where this path left the first one, the automorphism maps
-                    # the first path's child onto this one: the rest of this
-                    # subtree repeats the first child's documents.
-                    k = 0
-                    while path[k] == first[2][k]:
-                        k += 1
-                    if all(moved.get(b, b) == path[i] for i, b in enumerate(first[2][: k + 1])):
-                        del nodes[k + 1 :]
-            elif leaf[0] < best[0]:
-                best = leaf
-        elif nodes and nodes[-1].model is not None:
-            # A later child: if the colours match the searched sibling's under
-            # an automorphism fixing the path, its subtree is an image of that one.
-            model, vertex = nodes[-1].model
-            moved = _same_colour_moves(model, colors)
-            depth = len(nodes) - 1
-            if (
-                moved.get(vertex) == path[depth]
-                and not any(b in moved for b in path[:depth])
-                and preserves_triples(moved)
-            ):
-                automorphisms.append(moved)
-            else:
-                nodes.append(_Node(colors, cell))
-        else:
-            if nodes:
-                nodes[-1].model = (colors, path[-1])
-            nodes.append(_Node(colors, cell))
-        while nodes:
-            depth = len(nodes) - 1
-            child = nodes[-1].next_child(automorphisms, path[:depth])
-            if child is not None:
-                break
-            nodes.pop()
-        else:
-            return best[0], {blank_ids[b]: i for i, b in enumerate(best[1])}
-        del path[depth:]
-        path.append(child)
-        colors = list(nodes[-1].colors)
-        colors[child] = "!" + colors[child]
-        colors = _refine(colors, fixed, slots)
-
-
-def canonicalize(graph: Graph) -> str:
-    """Canonical N-Triples text: equal strings iff the graphs are isomorphic."""
-    return _canonical_doc(graph)[0]
-

@@ -182,10 +182,9 @@ def parse_mods_xml(data, source: str = "") -> ModsDocument:
 
     Raises ModsParseError with line and column for malformed XML, and for
     an encoding the XML parser cannot decode, and ModsStructureError when
-    the root is not a record or collection.
+    the root is not a record or collection.  Text is taken as already
+    decoded: an encoding named in its XML declaration applies to bytes only.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:

@@ -35,11 +35,10 @@ from .graph import (
     Graph,
     Iri,
     Literal,
-    _canonical_doc,
-    canonicalize,
     escape_literal,
     format_term,
 )
+from .canonical import _canonical_labels, canonicalize
 from .validate import ValidationReport
 
 REPORT_VERSION = 1
@@ -272,7 +271,7 @@ def write_turtle(graph: Graph, registry) -> str:
     ]
     lines = [f"@prefix {prefix}: <{namespace}> ." for prefix, namespace in prefixes]
 
-    _, labels = _canonical_doc(graph)
+    labels = _canonical_labels(graph)
     formatted: dict = {}  # term -> its Turtle text; each is formatted once
     text = {}  # term id -> its Turtle text, for every term of a triple
     for x in {x for t in graph._triples for x in t}:

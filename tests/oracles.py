@@ -325,8 +325,9 @@ def canonicalize_exhaustive(graph):
 
     Every member of every tied colour class is individuated and the least
     leaf document wins, so the search takes time exponential in the
-    symmetry of the graph.  The library's canonicalize must return the
-    same text, byte for byte.
+    symmetry of the graph.  It is the library's former canonical form; the
+    library's canonicalize must give two graphs equal text exactly when
+    this does.
     """
     triples = graph.triples()
     blanks = sorted(

@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 
 from mmods.axioms import catalog, catalog_table_markdown
+from mmods.canonical import canonicalize
 from mmods.cli import main
 from mmods.graph import (
     OWL_CLASS,
@@ -17,7 +18,6 @@ from mmods.graph import (
     OWL_OBJECT_PROPERTY,
     RDF_TYPE,
     RDFS_SUBCLASS_OF,
-    canonicalize,
     instances_of,
 )
 from mmods.inference import materialize

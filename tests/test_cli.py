@@ -12,8 +12,9 @@ from xml.sax.saxutils import quoteattr
 import pytest
 
 import mmods
+from mmods.canonical import canonicalize
 from mmods.cli import _merge, main
-from mmods.graph import RDF_TYPE, BlankNode, Graph, canonicalize
+from mmods.graph import RDF_TYPE, BlankNode, Graph
 from mmods.mapping import map_record
 from mmods.modsxml import parse_mods_xml
 from mmods.serialize import read_ntriples
@@ -661,7 +662,9 @@ class TestInvalidBaseIri:
 
 
 class TestHashSeedIndependence:
-    """Output bytes do not depend on string hashing, so no set or dict order leaks."""
+    """Output bytes do not depend on string hashing, so no set or dict order
+    leaks.  tied.xml, a collection of identical ID-less records, takes the
+    labelling's search through tied cells."""
 
     def test_same_bytes_under_two_hash_seeds(self):
         calls = [("infer", FIXTURES / "triangle.nt", "--format", fmt) for fmt in ("nt", "ttl")]
@@ -682,3 +685,53 @@ class TestHashSeedIndependence:
             first, second = ((*r.communicate(), r.returncode) for r in runs)
             assert first == second, argv
             assert b"Traceback" not in first[1], argv
+
+
+class TestLabellingBudget:
+    @pytest.mark.parametrize("fmt", ["nt", "ttl"])
+    def test_past_the_budget_exits_1(self, tmp_path, fmt):
+        # One step per triple is far too few for eight interchangeable names.
+        record = tmp_path / "same.xml"
+        record.write_text("<mods>" + "<name><namePart>Same</namePart></name>" * 8 + "</mods>")
+        script = (
+            "import sys, mmods.canonical, mmods.cli\n"
+            "mmods.canonical._WORK_PER_TRIPLE = mmods.canonical._WORK_MIN_TRIPLES = 1\n"
+            "sys.exit(mmods.cli.main(sys.argv[1:]))\n"
+        )
+        done = fresh_python("-c", script, "convert", record, "--format", fmt)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: blank-node labelling passed its budget of ")
+        assert done.stderr.count("\n") == 1
+
+
+class TestOutputEncoding:
+    """stdout carries the UTF-8 bytes --out writes, whatever encoding Python
+    gives stdout."""
+
+    def _run(self, encoding, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "mmods.cli", *map(str, argv)],
+            capture_output=True,
+            env=dict(fresh_env(), PYTHONIOENCODING=encoding),
+            check=False,
+        )
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    @pytest.mark.parametrize("fmt", ["nt", "ttl"])
+    def test_stdout_equals_the_out_file(self, tmp_path, encoding, fmt):
+        record = tmp_path / "zoe.xml"
+        record.write_text("<mods><name><namePart>Zoë</namePart></name></mods>", encoding="utf-8")
+        out = tmp_path / "out.graph"
+        assert self._run(encoding, "convert", record, "--format", fmt, "--out", out).returncode == 0
+        done = self._run(encoding, "convert", record, "--format", fmt)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == out.read_bytes()
+        assert '"Zoë"'.encode() in done.stdout
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_text_report_on_a_non_ascii_id(self, tmp_path, encoding):
+        record = tmp_path / "zoe.xml"
+        record.write_text('<mods ID="Zoë"><name><displayForm>Z</displayForm></name></mods>', encoding="utf-8")
+        done = self._run(encoding, "validate", record, "--report", "text")
+        assert (done.returncode, done.stderr) == (3, b"")
+        assert "/Zoë/name0".encode() in done.stdout

@@ -2,17 +2,22 @@
 
 Pattern matching is checked against a full scan and canonicalization against
 a brute-force bijection search, so the indexed paths never verify themselves.
-The pruned labelling search is checked byte for byte against the unpruned
-one in oracles.py, on random graphs and on graphs with many automorphisms.
+The pruned labelling search must tell graphs apart exactly where the
+unpruned one in oracles.py does, on random graphs and on graphs with many
+automorphisms, and its work is counted on the families that made the
+hash-based labelling quadratic.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmods.canonical as canonical_module
+from mmods.canonical import LabellingBudgetError, _canonical_labels, canonicalize
 from mmods.graph import (
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -23,13 +28,14 @@ from mmods.graph import (
     Iri,
     Literal,
     Triple,
-    _canonical_doc,
-    canonicalize,
     format_triple,
     instances_of,
     term_sort_key,
     triple_sort_key,
 )
+from mmods.mapping import map_record
+from mmods.modsxml import parse_mods_xml
+from mmods.vocab import VocabularyRegistry
 
 from oracles import canonicalize_exhaustive, naive_materialize
 
@@ -595,16 +601,26 @@ def random_graphs(draw):
     return g
 
 
+def assert_agrees_with_exhaustive(*graphs):
+    """canonicalize gives two of the graphs equal text exactly when the
+    unpruned search of tests/oracles.py does.  Canonical form v2 is not the
+    oracle's text, but it must draw the same distinctions."""
+    ours = [canonicalize(g) for g in graphs]
+    theirs = [canonicalize_exhaustive(g) for g in graphs]
+    for i, j in itertools.combinations(range(len(graphs)), 2):
+        assert (ours[i] == ours[j]) == (theirs[i] == theirs[j]), (i, j)
+
+
 class TestPrunedSearchMatchesExhaustive:
     @settings(max_examples=150, deadline=None)
-    @given(g=random_graphs())
-    def test_random_graphs(self, g):
-        assert canonicalize(g) == canonicalize_exhaustive(g)
+    @given(g=random_graphs(), h=random_graphs(), seed=st.integers(0, 10_000))
+    def test_random_graphs(self, g, h, seed):
+        assert_agrees_with_exhaustive(g, relabeled_shuffled(g, seed), h)
 
     @settings(max_examples=120, deadline=None)
-    @given(g=symmetric_graphs())
-    def test_symmetric_families(self, g):
-        assert canonicalize(g) == canonicalize_exhaustive(g)
+    @given(g=symmetric_graphs(), h=symmetric_graphs(), seed=st.integers(0, 10_000))
+    def test_symmetric_families(self, g, h, seed):
+        assert_agrees_with_exhaustive(g, relabeled_shuffled(g, seed), h)
 
     @pytest.mark.parametrize(
         "g",
@@ -630,7 +646,7 @@ class TestPrunedSearchMatchesExhaustive:
         ],
     )
     def test_largest_family_members(self, g):
-        assert canonicalize(g) == canonicalize_exhaustive(g)
+        assert_agrees_with_exhaustive(g, relabeled_shuffled(g, 1), relabeled_shuffled(g, 2))
 
     def test_refinement_blind_components(self):
         # A searched sibling's colours match here without an automorphism
@@ -647,11 +663,53 @@ class TestPrunedSearchMatchesExhaustive:
         # The writers take blank labels from this map: renaming each blank
         # node to c<N> gives the document itself.
         g = relabeled_shuffled(name_chains(3).add(A, P, BlankNode("a1")), 5)
-        document, labels = _canonical_doc(g)
+        labels = _canonical_labels(g)
         assert sorted(labels.values()) == list(range(len(labels)))
         relabeled = Graph()
         rename = {g.term(x): BlankNode(f"c{n}") for x, n in labels.items()}
         for s, p, o in g.triples():
             relabeled.add(rename.get(s, s), p, rename.get(o, o))
         lines = sorted(format_triple(t) for t in relabeled.triples())
-        assert "".join(line + "\n" for line in lines) == document == canonicalize(g)
+        assert "".join(line + "\n" for line in lines) == canonicalize(g)
+
+
+def collection(records):
+    """The mapped graph of one ID-less MODS collection."""
+    text = '<modsCollection xmlns="http://www.loc.gov/mods/v3">' + "".join(records) + "</modsCollection>"
+    return map_record(parse_mods_xml(text), VocabularyRegistry()).graph
+
+
+IDENTICAL_RECORD = (
+    '<mods><name type="personal"><namePart type="given">Ada</namePart>'
+    '<namePart type="family">Lovelace</namePart><affiliation>University of London</affiliation>'
+    '<role><roleTerm type="text">author</roleTerm></role></name>'
+    "<originInfo><dateIssued>1843</dateIssued></originInfo></mods>"
+)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # Interchangeable records, sharing one affiliation node.
+        collection([IDENTICAL_RECORD] * 300),
+        # Without a role, a name does not link to its record: the item nodes
+        # are interchangeable though every name differs.
+        collection(f"<mods><name><namePart>Name {i}</namePart></name></mods>" for i in range(300)),
+        cycles([3000]),
+    ],
+    ids=["identical-records", "role-less-records", "blank-ring"],
+)
+def test_labelling_work_is_near_linear(g, monkeypatch):
+    # The labelling counts its refinement steps and search nodes against a
+    # budget of _WORK_PER_TRIPLE per triple; with 2 * log2(m) per triple it
+    # must finish, and a tenth of a step per triple must stop it.  Steps are
+    # counted, not timed.  The hash-based labelling did quadratic work on all
+    # three.
+    m = len(g)
+    monkeypatch.setattr(canonical_module, "_WORK_MIN_TRIPLES", 0)
+    monkeypatch.setattr(canonical_module, "_WORK_PER_TRIPLE", 2 * math.log2(m))
+    labels = _canonical_labels(g)
+    assert sorted(labels.values()) == list(range(len(blanks_of(g.triples()))))
+    monkeypatch.setattr(canonical_module, "_WORK_PER_TRIPLE", 0.1)
+    with pytest.raises(LabellingBudgetError):
+        _canonical_labels(g)

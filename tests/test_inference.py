@@ -3,7 +3,8 @@
 import pytest
 
 from mmods.axioms import catalog
-from mmods.graph import RDF_TYPE, Graph, Iri, canonicalize
+from mmods.canonical import canonicalize
+from mmods.graph import RDF_TYPE, Graph, Iri
 from mmods.inference import materialize
 from mmods.vocab import VocabularyRegistry
 

@@ -5,7 +5,8 @@ import pathlib
 import pytest
 
 from mmods.axioms import catalog
-from mmods.graph import RDF_TYPE, XSD_BOOLEAN, BlankNode, Iri, Literal, canonicalize, instances_of
+from mmods.canonical import canonicalize
+from mmods.graph import RDF_TYPE, XSD_BOOLEAN, BlankNode, Iri, Literal, instances_of
 from mmods.inference import materialize
 from mmods.mapping import MappingError, map_record
 from mmods.modsxml import parse_mods_xml

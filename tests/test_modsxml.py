@@ -158,8 +158,18 @@ class TestErrors:
     @pytest.mark.parametrize("encoding", ["foo", "rot13", "utf-7", "utf-32", "undefined"])
     def test_undecodable_encoding(self, encoding):
         # Unknown to Python, not a text codec, or a codec expat cannot use.
+        # The declaration decodes bytes only; text is read as it is.
+        raw = f'<?xml version="1.0" encoding="{encoding}"?><mods/>'
         with pytest.raises(ModsParseError, match="^rec.xml: unsupported XML encoding: "):
-            parse_mods_xml(f'<?xml version="1.0" encoding="{encoding}"?><mods/>', source="rec.xml")
+            parse_mods_xml(raw.encode("ascii"), source="rec.xml")
+        assert parse_mods_xml(raw).root.tag == "mods"
+
+    def test_text_is_not_decoded_again(self):
+        # Text declaring another encoding was once encoded as UTF-8 and then
+        # decoded by the declaration, which read "é" as "Ã©".
+        raw = '<?xml version="1.0" encoding="ISO-8859-1"?><mods><name><namePart>é</namePart></name></mods>'
+        assert parse_mods_xml(raw).root.children[0].children[0].text == "é"
+        assert parse_mods_xml(raw.encode("latin-1")).root == parse_mods_xml(raw).root
 
 
 def _parsed_fixtures():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmods.axioms import catalog
+from mmods.canonical import canonicalize
 from mmods.graph import (
     OWL_NS,
     RDF_NS,
@@ -21,7 +22,6 @@ from mmods.graph import (
     Iri,
     Literal,
     RDF_TYPE,
-    canonicalize,
     escape_literal,
 )
 from mmods.mapping import map_record

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from mmods.axioms import catalog
+from mmods.canonical import canonicalize
 from mmods.graph import (
     OWL_CLASS,
     OWL_DATATYPE_PROPERTY,
@@ -14,7 +15,6 @@ from mmods.graph import (
     RDFS_SUBCLASS_OF,
     Iri,
     Literal,
-    canonicalize,
 )
 from mmods.vocab import (
     DEFAULT_BASE_IRI,
