@@ -8,22 +8,19 @@ subclass facts), or documentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .graph import XSD_BOOLEAN, XSD_NS, XSD_STRING, Iri
 from .vocab import VocabularyError, VocabularyRegistry
 
 
-@dataclass(frozen=True)
-class VocabFiller:
+class VocabFiller(NamedTuple):
     """Filler restricting objects to a controlled vocabulary's members."""
 
     vocabulary: str
 
 
-@dataclass(frozen=True)
-class DatatypeFiller:
+class DatatypeFiller(NamedTuple):
     """Filler restricting objects to literals of one datatype."""
 
     datatype: Iri
@@ -44,8 +41,7 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """One rule; unused fields stay None depending on the kind.
 
     scope_class None means the rule applies to every node.
@@ -72,18 +68,20 @@ class Constraint:
         return f"E_{self.module}_{self.axiom_id.upper()}"
 
 
-@dataclass(frozen=True)
-class ConstraintCatalog:
-    constraints: tuple[Constraint, ...]
+class ConstraintCatalog(tuple):
+    """The constraints, in catalog order; iterating or indexing it yields them."""
 
-    def __iter__(self) -> Iterator[Constraint]:
-        return iter(self.constraints)
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.constraints)
+    def __new__(cls, constraints: tuple[Constraint, ...]):
+        return super().__new__(cls, constraints)
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        return tuple(self)
 
     def by_code(self, code: str) -> Constraint:
-        for constraint in self.constraints:
+        for constraint in self:
             if constraint.code == code:
                 return constraint
         raise KeyError(code)
@@ -93,12 +91,12 @@ class ConstraintCatalog:
         documentation entry carries no sub and is excluded."""
         return [
             (c.sub, c.sup)
-            for c in self.constraints
+            for c in self
             if c.kind == "subclass_of" and c.sub is not None
         ]
 
     def chains(self) -> list[tuple[Iri, Iri, bool, Iri]]:
-        return [c.chain for c in self.constraints if c.kind == "role_chain"]
+        return [c.chain for c in self if c.kind == "role_chain"]
 
 
 def catalog(registry: VocabularyRegistry) -> ConstraintCatalog:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 # The id that matches any term in match_ids.
@@ -38,28 +37,67 @@ _NOT_IRI_TEXT = re.compile(r'[\s\x00-\x20<>"{}|^`\\]')
 _NOT_BLANK_LABEL = re.compile(r"[\s:]")
 
 
-@dataclass(frozen=True)
-class Iri:
+class _Value:
+    """Immutable: fields are set once, in __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
+
+
+class Iri(_Value):
     """An absolute IRI reference."""
 
-    value: str
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not self.value:
+    def __init__(self, value: str):
+        if not value:
             raise GraphError("empty IRI")
-        if _NOT_IRI_TEXT.search(self.value):
-            raise GraphError(f"invalid IRI: {self.value!r}")
+        if _NOT_IRI_TEXT.search(value):
+            raise GraphError(f"invalid IRI: {value!r}")
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        return self.value == other.value if other.__class__ is Iri else NotImplemented
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"Iri(value={self.value!r})"
+
+    def __reduce__(self):
+        return Iri, (self.value,)
 
 
-@dataclass(frozen=True)
-class BlankNode:
+class BlankNode(_Value):
     """A graph-local node with no global identity."""
 
-    label: str
+    __slots__ = ("label",)
 
-    def __post_init__(self):
-        if not self.label or _NOT_BLANK_LABEL.search(self.label):
-            raise GraphError(f"invalid blank node label: {self.label!r}")
+    def __init__(self, label: str):
+        if not label or _NOT_BLANK_LABEL.search(label):
+            raise GraphError(f"invalid blank node label: {label!r}")
+        _set(self, "label", label)
+
+    def __eq__(self, other):
+        return self.label == other.label if other.__class__ is BlankNode else NotImplemented
+
+    def __hash__(self):
+        return hash(self.label)
+
+    def __repr__(self):
+        return f"BlankNode(label={self.label!r})"
+
+    def __reduce__(self):
+        return BlankNode, (self.label,)
 
 
 RDF_TYPE = Iri(RDF_NS + "type")
@@ -74,21 +112,35 @@ OWL_NAMED_INDIVIDUAL = Iri(OWL_NS + "NamedIndividual")
 OWL_ONTOLOGY = Iri(OWL_NS + "Ontology")
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Value):
     """A typed or language-tagged literal value."""
 
-    lexical: str
-    datatype: Iri = XSD_STRING
-    lang: Optional[str] = None
+    __slots__ = ("lexical", "datatype", "lang")
 
-    def __post_init__(self):
-        if self.lang is not None:
-            if not self.lang or _WHITESPACE.search(self.lang):
-                raise GraphError(f"invalid language tag: {self.lang!r}")
-            object.__setattr__(self, "datatype", RDF_LANGSTRING)
-        elif self.datatype == RDF_LANGSTRING:
+    def __init__(self, lexical: str, datatype: Iri = XSD_STRING, lang: Optional[str] = None):
+        if lang is not None:
+            if not lang or _WHITESPACE.search(lang):
+                raise GraphError(f"invalid language tag: {lang!r}")
+            datatype = RDF_LANGSTRING
+        elif datatype == RDF_LANGSTRING:
             raise GraphError("language-tagged literal requires a language tag")
+        _set(self, "lexical", lexical)
+        _set(self, "datatype", datatype)
+        _set(self, "lang", lang)
+
+    def __eq__(self, other):
+        if other.__class__ is Literal:
+            return (self.lexical, self.datatype, self.lang) == (other.lexical, other.datatype, other.lang)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lexical, self.datatype, self.lang))
+
+    def __repr__(self):
+        return f"Literal(lexical={self.lexical!r}, datatype={self.datatype!r}, lang={self.lang!r})"
+
+    def __reduce__(self):
+        return Literal, (self.lexical, self.datatype, self.lang)
 
 
 Term = Union[Iri, BlankNode, Literal]

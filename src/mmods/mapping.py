@@ -10,7 +10,7 @@ valid IRI text, or one that repeats within the document.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .graph import RDF_TYPE, XSD_BOOLEAN, Graph, GraphError, Iri, Literal
 from .modsxml import ModsDocument, ModsElement
@@ -50,14 +50,18 @@ class MappingError(ValueError):
     """A record ID that cannot name the record's nodes."""
 
 
-@dataclass
 class MappingResult:
     """A mapped graph, the warnings gathered while producing it, and the
     record IDs it carries in document order."""
 
-    graph: Graph
-    warnings: list[str] = field(default_factory=list)
-    record_ids: list[str] = field(default_factory=list)
+    __slots__ = ("graph", "warnings", "record_ids")
+
+    def __init__(
+        self, graph: Graph, warnings: Optional[list[str]] = None, record_ids: Optional[list[str]] = None
+    ):
+        self.graph = graph
+        self.warnings = [] if warnings is None else warnings
+        self.record_ids = [] if record_ids is None else record_ids
 
 
 class _Ids(dict):

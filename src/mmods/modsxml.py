@@ -9,7 +9,6 @@ can report them.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 MODS_NS = "http://www.loc.gov/mods/v3"
@@ -119,8 +118,7 @@ class ModsElement(NamedTuple):
             stack.extend(reversed(element.children))
 
 
-@dataclass(frozen=True)
-class ModsDocument:
+class ModsDocument(NamedTuple):
     root: ModsElement
     source: str
 

@@ -18,9 +18,8 @@ interning or insertion order.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .axioms import Constraint, ConstraintCatalog, Filler, VocabFiller
 from .graph import (
@@ -39,8 +38,7 @@ from .inference import materialize
 from .vocab import VocabularyRegistry
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One constraint violation or warning, anchored on a focus node."""
 
     code: str

@@ -7,9 +7,7 @@ writes the vocabulary's own declaration graph.
 
 from __future__ import annotations
 
-import difflib
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph import (
     OWL_CLASS,
@@ -180,8 +178,7 @@ class VocabularyError(KeyError):
     """Unknown class, property, vocabulary, or individual name."""
 
 
-@dataclass(frozen=True)
-class ControlledVocabulary:
+class ControlledVocabulary(NamedTuple):
     """An ordered set of predefined individuals with a class IRI."""
 
     name: str
@@ -196,6 +193,8 @@ class ControlledVocabulary:
 
 
 def _suggest(name: str, candidates) -> str:
+    import difflib  # only error messages need it; it is slow to import
+
     close = difflib.get_close_matches(name, list(candidates), n=3)
     if close:
         return "; nearest: " + ", ".join(close)

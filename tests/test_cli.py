@@ -647,6 +647,22 @@ BASE_IRI_COMMANDS = [
 ]
 
 
+def test_cold_import_loads_no_record_machinery():
+    """Importing the package and its CLI leaves dataclasses, inspect and
+    difflib unloaded; name suggestions still load difflib when asked."""
+    done = fresh_python(
+        "-c",
+        "import sys, mmods, mmods.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'difflib') if m in sys.modules))\n"
+        "try:\n"
+        "    mmods.VocabularyRegistry().cls('Agnet')\n"
+        "except mmods.VocabularyError as err:\n"
+        "    print(err.args[0])\n",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "unknown class name: 'Agnet'; nearest: Agent"]
+
+
 class TestInvalidBaseIri:
     @pytest.mark.parametrize("argv", BASE_IRI_COMMANDS, ids=lambda argv: argv[0])
     def test_flag_exits_2(self, argv):

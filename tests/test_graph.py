@@ -8,8 +8,10 @@ automorphisms, and its work is counted on the families that made the
 hash-based labelling quadratic.
 """
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -83,6 +85,14 @@ def isomorphic_bruteforce(g1, g2):
     return False
 
 
+TERM_MAKERS = [
+    pytest.param(lambda: Iri("urn:a"), id="iri"),
+    pytest.param(lambda: BlankNode("b0"), id="blank"),
+    pytest.param(lambda: Literal("true", XSD_BOOLEAN), id="typed"),
+    pytest.param(lambda: Literal("chat", lang="fr"), id="tagged"),
+]
+
+
 class TestTerms:
     def test_iri_rejects_empty_and_whitespace(self):
         with pytest.raises(GraphError):
@@ -122,6 +132,65 @@ class TestTerms:
     def test_terms_are_value_equal_and_hashable(self):
         assert Iri("urn:a") == Iri("urn:a")
         assert len({Literal("x"), Literal("x"), Literal("x", XSD_BOOLEAN)}) == 2
+
+    def test_iri_and_blank_node_with_one_text_are_two_terms(self):
+        iri, blank = Iri("x"), BlankNode("x")
+        assert iri != blank and blank != iri
+        assert not iri == blank
+        g = Graph().add(blank, P, iri)
+        assert g.term_id(iri) != g.term_id(blank)
+        assert g.term(g.term_id(iri)) == iri and g.term(g.term_id(blank)) == blank
+
+    def test_terms_are_not_equal_to_their_text(self):
+        assert Iri("urn:a") != "urn:a"
+        assert Literal("x") != "x"
+        assert Literal("x") != Literal("x", lang="en")
+
+    @pytest.mark.parametrize("make", TERM_MAKERS)
+    def test_equal_terms_hash_equal(self, make):
+        assert make() == make() and make() is not make()
+        assert hash(make()) == hash(make())
+        assert len({make(), make()}) == 1
+
+    @pytest.mark.parametrize("make", TERM_MAKERS)
+    def test_fields_cannot_be_set_or_deleted(self, make):
+        term = make()
+        for name in [n for n in ("value", "label", "lexical", "datatype", "lang") if hasattr(term, n)]:
+            with pytest.raises(AttributeError):
+                setattr(term, name, "urn:other")
+            with pytest.raises(AttributeError):
+                delattr(term, name)
+        with pytest.raises(AttributeError):
+            term.extra = 1
+        assert term == make()
+
+    @pytest.mark.parametrize("make", TERM_MAKERS)
+    def test_copy_and_pickle_round_trip(self, make):
+        term = make()
+        for other in (
+            copy.copy(term),
+            copy.deepcopy(term),
+            *(pickle.loads(pickle.dumps(term, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+        ):
+            assert other == term and type(other) is type(term)
+            assert repr(other) == repr(term)
+
+    def test_keyword_construction(self):
+        assert Iri(value="urn:a") == Iri("urn:a")
+        assert BlankNode(label="b0") == BlankNode("b0")
+        assert Literal(lexical="1", datatype=XSD_BOOLEAN) == Literal("1", XSD_BOOLEAN)
+        assert Literal(lexical="chat", lang="fr").datatype == Literal("x", lang="en").datatype
+
+    def test_repr_text(self):
+        assert repr(Iri("urn:a")) == "Iri(value='urn:a')"
+        assert repr(BlankNode("b0")) == "BlankNode(label='b0')"
+        assert repr(Literal("x")) == (
+            "Literal(lexical='x', datatype=Iri(value='http://www.w3.org/2001/XMLSchema#string'), lang=None)"
+        )
+        assert repr(Literal("chat", lang="fr")) == (
+            "Literal(lexical='chat', datatype="
+            "Iri(value='http://www.w3.org/1999/02/22-rdf-syntax-ns#langString'), lang='fr')"
+        )
 
 
 class TestGraphBasics:

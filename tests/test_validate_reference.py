@@ -6,8 +6,6 @@ focus, detail and message, in order) must be equal, so a change in finding
 order or detail text fails even where the oracle's counters agree.
 """
 
-import dataclasses
-
 import pytest
 
 from mmods.axioms import catalog
@@ -168,7 +166,7 @@ def test_negated_path_with_several_middles_and_tails():
 def test_rules_without_a_scope_class():
     """scope_class None: every typed node is in scope, as for the reference."""
     unscoped = [
-        dataclasses.replace(c, scope_class=None)
+        c._replace(scope_class=None)
         for c in CAT
         if c.scope_class is not None and c.kind not in ("subclass_of", "role_chain")
     ]
