@@ -2,9 +2,11 @@
 
 tests/fixtures/expected/ holds the stdout of `convert` (nt and ttl) and
 `validate --report json` on every XML fixture, and of `infer` (nt and ttl)
-on triangle.nt.  Commands run in the fixtures directory, so the paths in
-reports and messages are bare file names.  A change that alters output
-bytes on purpose regenerates the files, so the change shows in its diff:
+on triangle.nt.  Every command on one input writes the same stderr (its
+warnings, or the error that stops it), held in stderr-<stem>.txt.  Commands
+run in the fixtures directory, so the paths in reports and messages are bare
+file names.  A change that alters output bytes on purpose regenerates the
+files, so the change shows in its diff:
 
     PYTHONPATH=src python tests/test_expected_outputs.py
 """
@@ -27,37 +29,43 @@ _INVALID = {"nameless.xml"}
 
 
 def _cases():
-    """(argv, exit code, expected-output file name or None for no output)."""
+    """(argv, exit code, expected-output file name or None for no output,
+    expected-stderr file name)."""
     cases = []
     for path in sorted(FIXTURES.glob("*.xml")):
         name, stem = path.name, path.stem
         failed = name in _PARSE_FAILURES
+        stderr = f"stderr-{stem}.txt"
         for fmt in ("nt", "ttl"):
             expected = None if failed else f"convert-{stem}.{fmt}"
-            cases.append((["convert", name, "--format", fmt], int(failed), expected))
+            cases.append((["convert", name, "--format", fmt], int(failed), expected, stderr))
         code = 1 if failed else 3 if name in _INVALID else 0
         expected = None if failed else f"validate-{stem}.json"
-        cases.append((["validate", name, "--report", "json"], code, expected))
+        cases.append((["validate", name, "--report", "json"], code, expected, stderr))
     for fmt in ("nt", "ttl"):
-        cases.append((["infer", "triangle.nt", "--format", fmt], 0, f"infer-triangle.{fmt}"))
+        cases.append(
+            (["infer", "triangle.nt", "--format", fmt], 0, f"infer-triangle.{fmt}", "stderr-triangle.txt")
+        )
     return cases
 
 
 @pytest.mark.parametrize(
-    "argv, code, expected", [pytest.param(*case, id=" ".join(case[0])) for case in _cases()]
+    "argv, code, expected, stderr",
+    [pytest.param(*case, id=" ".join(case[0])) for case in _cases()],
 )
-def test_output_matches_the_stored_file(argv, code, expected, capsys, monkeypatch):
+def test_output_matches_the_stored_file(argv, code, expected, stderr, capsys, monkeypatch):
     monkeypatch.chdir(FIXTURES)
     assert main(argv) == code
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     if expected is None:
-        assert out == ""
+        assert captured.out == ""
     else:
-        assert out.encode() == (EXPECTED / expected).read_bytes()
+        assert captured.out.encode() == (EXPECTED / expected).read_bytes()
+    assert captured.err.encode() == (EXPECTED / stderr).read_bytes()
 
 
 def test_every_stored_file_is_checked():
-    named = {expected for _, _, expected in _cases() if expected}
+    named = {name for _, _, expected, stderr in _cases() for name in (expected, stderr) if name}
     assert {path.name for path in EXPECTED.iterdir()} == named
 
 
@@ -67,14 +75,15 @@ def _regenerate():
 
     EXPECTED.mkdir(exist_ok=True)
     os.chdir(FIXTURES)
-    for argv, code, expected in _cases():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    for argv, code, expected, stderr in _cases():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             got = main(argv)
         if got != code:
             sys.exit(f"{' '.join(argv)}: exit {got}, expected {code}")
         if expected is not None:
             (EXPECTED / expected).write_bytes(out.getvalue().encode())
+        (EXPECTED / stderr).write_bytes(err.getvalue().encode())
 
 
 if __name__ == "__main__":
