@@ -26,7 +26,6 @@ from .inference import materialize
 from .mapping import MappingError, MappingResult, map_record
 from .modsxml import (
     ModsDocument,
-    ModsElement,
     ModsParseError,
     ModsStructureError,
     parse_mods_xml,
@@ -70,7 +69,6 @@ __all__ = [
     "MappingError",
     "MappingResult",
     "ModsDocument",
-    "ModsElement",
     "ModsParseError",
     "ModsStructureError",
     "NTriplesError",

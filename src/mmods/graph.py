@@ -28,8 +28,8 @@ RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 
-# "\s" matches exactly the characters for which str.isspace() is true.
-_WHITESPACE = re.compile(r"\s")
+# N-Triples LANGTAG (https://www.w3.org/TR/n-triples/#grammar-production-LANGTAG).
+_LANGTAG = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
 # IRI text follows N-Triples IRIREF: no U+0000-U+0020 and none of <>"{}|^`\
 # (https://www.w3.org/TR/n-triples/#grammar-production-IRIREF), nor any other
 # whitespace.
@@ -119,7 +119,7 @@ class Literal(_Value):
 
     def __init__(self, lexical: str, datatype: Iri = XSD_STRING, lang: Optional[str] = None):
         if lang is not None:
-            if not lang or _WHITESPACE.search(lang):
+            if not _LANGTAG.fullmatch(lang):
                 raise GraphError(f"invalid language tag: {lang!r}")
             datatype = RDF_LANGSTRING
         elif datatype == RDF_LANGSTRING:

@@ -10,11 +10,18 @@ valid IRI text, or one that repeats within the document.
 from __future__ import annotations
 
 import re
+import xml.etree.ElementTree as ET
 from typing import Optional
 
 from .graph import RDF_TYPE, XSD_BOOLEAN, Graph, GraphError, Iri, Literal
-from .modsxml import ModsDocument, ModsElement
+from .modsxml import XLINK_NS, XML_NS, ModsDocument, local_name
 from .vocab import VocabularyRegistry
+
+XML_LANG = f"{{{XML_NS}}}lang"
+XLINK_HREF = f"{{{XLINK_NS}}}href"
+
+# Readable names of namespaced attributes, for warnings.
+_ATTR_ALIASES = {XML_LANG: "xml:lang", XLINK_HREF: "xlink:href"}
 
 DATE_ELEMENTS = {
     "dateIssued": "DateIssued",
@@ -44,6 +51,11 @@ QUALIFIER_VALUES = {
 POINT_VALUES = {"start": "Start", "end": "End"}
 
 ENCODING_VALUES = {"w3cdtf": "W3cdtf", "iso8601": "Iso8601"}
+
+
+def _text(element: ET.Element) -> str:
+    """The element's own text, without surrounding whitespace."""
+    return (element.text or "").strip()
 
 
 class MappingError(ValueError):
@@ -145,14 +157,14 @@ def _mint_vocab_individual(ctx: _DocumentContext, vocab_name: str, value: str):
     return iri
 
 
-def map_common_attributes(element: ModsElement, owner, ctx: _DocumentContext) -> None:
+def map_common_attributes(element: ET.Element, owner, ctx: _DocumentContext) -> None:
     """Shared attribute handling: display label, link, and language groups.
 
     At most one link node and one language node are created per element;
     nothing is added when none of the attributes are present.
     """
     add = ctx.add
-    attrs = element.attrs
+    attrs = element.attrib
 
     label = attrs.get("displayLabel")
     if label is not None:
@@ -164,7 +176,7 @@ def map_common_attributes(element: ModsElement, owner, ctx: _DocumentContext) ->
             f"ID {element_id!r} on a namePart dropped: name parts must not carry IDs"
         )
         element_id = None
-    href = attrs.get("xlink:href", attrs.get("href"))
+    href = attrs.get(XLINK_HREF, attrs.get("href"))
     if element_id is not None or href is not None:
         link = ctx.node("linkAttributes", "LinkAttributes")
         add(owner, ctx.prop["hasLinkAttributes"], link)
@@ -174,7 +186,7 @@ def map_common_attributes(element: ModsElement, owner, ctx: _DocumentContext) ->
             add(link, ctx.prop["hasHref"], ctx.intern(Literal(href)))
 
     langs = []
-    for key in ("lang", "xml:lang"):
+    for key in ("lang", XML_LANG):
         value = attrs.get(key)
         if value is not None and value not in langs:
             langs.append(value)
@@ -206,7 +218,7 @@ def _map_affiliation(text: str, agent, ctx: _DocumentContext) -> None:
     add(agent, ctx.prop["hasAffiliation"], org)
 
 
-def map_name(element: ModsElement, ctx: _DocumentContext):
+def map_name(element: ET.Element, ctx: _DocumentContext):
     """One name element: agent, name, parts, roles, and related nodes."""
     add = ctx.add
 
@@ -214,7 +226,7 @@ def map_name(element: ModsElement, ctx: _DocumentContext):
     name = ctx.node("name", "Name")
     add(agent, ctx.prop["hasName"], name)
 
-    name_type = element.attrs.get("type")
+    name_type = element.get("type")
     if name_type is not None:
         individual = NAME_TYPE_VALUES.get(name_type)
         if individual is None:
@@ -222,10 +234,10 @@ def map_name(element: ModsElement, ctx: _DocumentContext):
         else:
             add(name, ctx.prop["hasNameType"], ctx.individual[individual])
 
-    if element.attrs.get("usage") == "primary":
+    if element.get("usage") == "primary":
         add(name, ctx.prop["isPrimaryInstance"], ctx.individual["Primary"])
 
-    authority = element.attrs.get("authority")
+    authority = element.get("authority")
     if authority is not None:
         info = ctx.node("authorityInfo", "AuthorityInfo")
         add(name, ctx.prop["hasAuthorityInfo"], info)
@@ -233,16 +245,18 @@ def map_name(element: ModsElement, ctx: _DocumentContext):
 
     map_common_attributes(element, name, ctx)
 
-    for child in element.children:
-        if child.tag == "namePart":
-            if not child.text:
+    for child in element:
+        tag = local_name(child.tag)
+        if tag == "namePart":
+            text = _text(child)
+            if not text:
                 ctx.warn("empty namePart skipped")
                 continue
             part = ctx.node("namePart", "NamePart")
             ctx.name_parts.add(part)
             add(name, ctx.prop["hasNamePart"], part)
-            add(part, ctx.prop["hasValue"], ctx.intern(Literal(child.text)))
-            part_type = child.attrs.get("type")
+            add(part, ctx.prop["hasValue"], ctx.intern(Literal(text)))
+            part_type = child.get("type")
             if part_type is not None:
                 individual = NAME_PART_TYPES.get(part_type)
                 if individual is None:
@@ -250,62 +264,67 @@ def map_name(element: ModsElement, ctx: _DocumentContext):
                 else:
                     add(part, ctx.prop["hasNamePartType"], ctx.individual[individual])
             map_common_attributes(child, part, ctx)
-        elif child.tag == "role":
-            terms = child.find_all("roleTerm")
+        elif tag == "role":
+            terms = [_text(term) for term in child if local_name(term.tag) == "roleTerm"]
             if not terms:
                 ctx.warn("role without roleTerm skipped")
-            for term in terms:
-                if not term.text:
+            for text in terms:
+                if not text:
                     ctx.warn("empty roleTerm skipped")
                     continue
                 role = ctx.node("agentRole", "AgentRole")
-                add(role, ctx.prop["hasValue"], ctx.intern(Literal(term.text)))
+                add(role, ctx.prop["hasValue"], ctx.intern(Literal(text)))
                 add(agent, ctx.prop["assumesAgentRole"], role)
                 add(role, ctx.prop["hasRoleUnderName"], name)
                 add(ctx.item, ctx.prop["providesAgentRole"], role)
-        elif child.tag == "affiliation":
-            if not child.text:
+        elif tag == "affiliation":
+            text = _text(child)
+            if not text:
                 ctx.warn("empty affiliation skipped")
                 continue
-            _map_affiliation(child.text, agent, ctx)
-        elif child.tag == "displayForm":
-            if not child.text:
+            _map_affiliation(text, agent, ctx)
+        elif tag == "displayForm":
+            text = _text(child)
+            if not text:
                 ctx.warn("empty displayForm skipped")
                 continue
-            add(name, ctx.prop["hasDisplayForm"], ctx.intern(Literal(child.text)))
-        elif child.tag == "nameIdentifier":
-            if not child.text:
+            add(name, ctx.prop["hasDisplayForm"], ctx.intern(Literal(text)))
+        elif tag == "nameIdentifier":
+            text = _text(child)
+            if not text:
                 ctx.warn("empty nameIdentifier skipped")
                 continue
             identifier = ctx.node("nameIdentifier", "NameIdentifier")
             add(identifier, ctx.rdf_type, ctx.cls["Identifier"])
             add(name, ctx.prop["hasNameIdentifier"], identifier)
-            add(identifier, ctx.prop["hasValue"], ctx.intern(Literal(child.text)))
+            add(identifier, ctx.prop["hasValue"], ctx.intern(Literal(text)))
             map_common_attributes(child, identifier, ctx)
         else:
-            ctx.warn(f"unmapped element name/{child.tag}")
+            ctx.warn(f"unmapped element name/{tag or child.tag}")
     return name
 
 
-def map_date(element: ModsElement, ctx: _DocumentContext, owner=None):
+def map_date(element: ET.Element, ctx: _DocumentContext, owner=None):
     """One date element: a date node with exactly one attribute node."""
     add = ctx.add
     if owner is None:
         owner = ctx.item
 
-    if not element.text:
-        ctx.warn(f"empty {element.tag} skipped")
+    tag = local_name(element.tag)
+    text = _text(element)
+    if not text:
+        ctx.warn(f"empty {tag} skipped")
         return None
 
     date = ctx.node("dateInfo", "DateInfo")
     add(owner, ctx.prop["hasDateInfo"], date)
-    add(date, ctx.prop["hasValue"], ctx.intern(Literal(element.text)))
-    add(date, ctx.prop["isOfType"], ctx.individual[DATE_ELEMENTS[element.tag]])
+    add(date, ctx.prop["hasValue"], ctx.intern(Literal(text)))
+    add(date, ctx.prop["isOfType"], ctx.individual[DATE_ELEMENTS[tag]])
 
     attrs_node = ctx.node("dateAttributes", "DateAttributes")
     add(date, ctx.prop["hasDateAttributes"], attrs_node)
 
-    encoding = element.attrs.get("encoding")
+    encoding = element.get("encoding")
     if encoding is not None:
         individual = ENCODING_VALUES.get(encoding.lower())
         if individual is not None:
@@ -315,14 +334,14 @@ def map_date(element: ModsElement, ctx: _DocumentContext, owner=None):
         if target is not None:
             add(attrs_node, ctx.prop["hasDateEncodingType"], target)
 
-    key_date = element.attrs.get("keyDate")
+    key_date = element.get("keyDate")
     if key_date is not None:
         if key_date == "yes":
             add(attrs_node, ctx.prop["isKeyDate"], ctx.intern(Literal("true", XSD_BOOLEAN)))
         else:
             ctx.warn(f"keyDate value {key_date!r} is not 'yes', skipped")
 
-    point = element.attrs.get("point")
+    point = element.get("point")
     if point is not None:
         individual = POINT_VALUES.get(point.lower())
         if individual is None:
@@ -330,7 +349,7 @@ def map_date(element: ModsElement, ctx: _DocumentContext, owner=None):
         else:
             add(attrs_node, ctx.prop["isStartOrEndPoint"], ctx.individual[individual])
 
-    qualifier = element.attrs.get("qualifier")
+    qualifier = element.get("qualifier")
     if qualifier is not None:
         individual = QUALIFIER_VALUES.get(qualifier.lower())
         if individual is None:
@@ -338,7 +357,7 @@ def map_date(element: ModsElement, ctx: _DocumentContext, owner=None):
         else:
             add(attrs_node, ctx.prop["hasQualifier"], ctx.individual[individual])
 
-    calendar = element.attrs.get("calendar")
+    calendar = element.get("calendar")
     if calendar is not None:
         target = _mint_vocab_individual(ctx, "Calendar", calendar)
         if target is not None:
@@ -348,23 +367,25 @@ def map_date(element: ModsElement, ctx: _DocumentContext, owner=None):
     return date
 
 
-def _map_record_element(record: ModsElement, ctx: _DocumentContext) -> None:
-    for key in record.attrs:
+def _map_record_element(record: ET.Element, ctx: _DocumentContext) -> None:
+    for key in record.attrib:
         if key not in ("ID", "version"):
-            ctx.warn(f"unmapped attribute {key!r} on record element")
-    for child in record.children:
-        if child.tag == "name":
+            ctx.warn(f"unmapped attribute {_ATTR_ALIASES.get(key, key)!r} on record element")
+    for child in record:
+        tag = local_name(child.tag)
+        if tag == "name":
             map_name(child, ctx)
-        elif child.tag == "originInfo":
-            for grandchild in child.children:
-                if grandchild.tag in DATE_ELEMENTS:
+        elif tag == "originInfo":
+            for grandchild in child:
+                date_tag = local_name(grandchild.tag)
+                if date_tag in DATE_ELEMENTS:
                     map_date(grandchild, ctx)
                 else:
-                    ctx.warn(f"unmapped element originInfo/{grandchild.tag}")
-        elif child.tag in DATE_ELEMENTS:
+                    ctx.warn(f"unmapped element originInfo/{date_tag or grandchild.tag}")
+        elif tag in DATE_ELEMENTS:
             map_date(child, ctx)
         else:
-            ctx.warn(f"unmapped element {child.tag}")
+            ctx.warn(f"unmapped element {tag or child.tag}")
 
 
 def map_record(document: ModsDocument, registry: VocabularyRegistry, base_iri=None) -> MappingResult:
@@ -383,7 +404,7 @@ def map_record(document: ModsDocument, registry: VocabularyRegistry, base_iri=No
     ctx = _DocumentContext(Graph(), registry, base_iri)
     record_ids: dict[str, None] = {}  # ordered, for MappingResult.record_ids
     for record in document.records():
-        record_id = record.attrs.get("ID", "")
+        record_id = record.get("ID", "")
         if record_id:
             try:
                 Iri(record_id)  # the ID goes verbatim into the node IRIs

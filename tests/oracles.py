@@ -486,7 +486,10 @@ class _LineParser:
             tag = self.text[start : self.pos]
             if not tag:
                 raise self.error("empty language tag")
-            return Literal(lexical, lang=tag)
+            try:
+                return Literal(lexical, lang=tag)
+            except ValueError as exc:
+                raise self.error(str(exc)) from exc
         return Literal(lexical, XSD_STRING)
 
     def read_subject(self):

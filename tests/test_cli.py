@@ -370,6 +370,14 @@ class TestInfer:
         assert not out
         assert err.startswith(f"error: {bad}: line 2: ")
 
+    @pytest.mark.parametrize("tag", ["1bad", "-en", "en-", "en--us", "ёж"])
+    def test_language_tag_outside_the_grammar_exit_1(self, capsys, tmp_path, tag):
+        bad = tmp_path / "tag.nt"
+        bad.write_text(f'<urn:s> <urn:p> "ok"@en-US .\n<urn:s> <urn:p> "x"@{tag} .\n', encoding="utf-8")
+        code, out, err = run(capsys, "infer", bad, "--format", "nt")
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: line 2: invalid language tag: {tag!r}\n"
+
     def test_crlf_input_exit_0(self, capsys, tmp_path):
         lf = (FIXTURES / "triangle.nt").read_text()
         crlf = tmp_path / "triangle-crlf.nt"

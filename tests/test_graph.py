@@ -129,6 +129,17 @@ class TestTerms:
         with pytest.raises(GraphError):
             Literal("x", datatype=Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"))
 
+    @pytest.mark.parametrize("tag", ["en", "EN", "en-US", "de-CH-1901", "x-1a2B"])
+    def test_language_tag_in_the_langtag_grammar(self, tag):
+        assert Literal("x", lang=tag).lang == tag
+
+    @pytest.mark.parametrize(
+        "tag", ["", "1bad", "-en", "en-", "en--us", "ёж", "en_US", "en US", "en\n", "en-ü"]
+    )
+    def test_language_tag_outside_the_langtag_grammar(self, tag):
+        with pytest.raises(GraphError, match="invalid language tag"):
+            Literal("x", lang=tag)
+
     def test_terms_are_value_equal_and_hashable(self):
         assert Iri("urn:a") == Iri("urn:a")
         assert len({Literal("x"), Literal("x"), Literal("x", XSD_BOOLEAN)}) == 2

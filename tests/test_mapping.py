@@ -124,6 +124,10 @@ class TestNames:
         assert len(parts) == 1
         assert any("empty namePart" in w for w in result.warnings)
 
+    def test_name_part_text_is_stripped(self, reg):
+        g = convert("<mods><name><namePart>\n  Ada \t</namePart></name></mods>", reg).graph
+        assert [t.o for t in g.match(None, reg.prop("hasValue"), None)] == [Literal("Ada")]
+
     def test_roles_build_the_triangle(self, reg):
         g = convert("personal.xml", reg).graph
         agent = Iri(reg.base_iri + "rec1/agent0")
@@ -408,6 +412,55 @@ class TestWarnings:
         result = convert("<mods><unknown/><name><namePart>N</namePart></name></mods>", reg)
         assert result.warnings
         assert len(result.graph) > 1
+
+
+class TestForeignNamespaces:
+    """Only MODS-namespace and unqualified elements are mapped; any other
+    element is reported as unmapped under its Clark-notation tag."""
+
+    def test_foreign_name_and_date_are_not_mapped(self, reg):
+        result = convert(
+            '<mods xmlns:x="urn:other"><x:name><x:namePart>A</x:namePart></x:name>'
+            "<x:dateIssued>2001</x:dateIssued></mods>",
+            reg,
+        )
+        assert result.warnings == [
+            "unmapped element {urn:other}name",
+            "unmapped element {urn:other}dateIssued",
+        ]
+        for cls in ("Agent", "NamePart", "DateInfo"):
+            assert not instances_of(result.graph, reg.cls(cls)), cls
+        assert len(result.graph) == 1
+
+    def test_foreign_children_of_mapped_elements(self, reg):
+        result = convert(
+            '<mods xmlns="http://www.loc.gov/mods/v3" xmlns:x="urn:other" ID="r1">'
+            "<name><x:namePart>A</x:namePart><namePart>B</namePart>"
+            "<role><x:roleTerm>author</x:roleTerm></role></name>"
+            "<originInfo><x:dateIssued>2001</x:dateIssued><dateIssued>2002</dateIssued></originInfo>"
+            "</mods>",
+            reg,
+        )
+        assert result.warnings == [
+            "record r1: unmapped element name/{urn:other}namePart",
+            "record r1: role without roleTerm skipped",
+            "record r1: unmapped element originInfo/{urn:other}dateIssued",
+        ]
+        g = result.graph
+        values = {t.o.lexical for t in g.match(None, reg.prop("hasValue"), None)}
+        assert values == {"B", "2002"}
+        assert not instances_of(g, reg.cls("AgentRole"))
+
+    def test_foreign_mods_in_a_collection_is_not_a_record(self, reg):
+        result = convert(
+            '<modsCollection xmlns="http://www.loc.gov/mods/v3" xmlns:x="urn:other">'
+            '<x:mods ID="x1"><name><namePart>A</namePart></name></x:mods>'
+            '<mods ID="m1"/></modsCollection>',
+            reg,
+        )
+        assert result.record_ids == ["m1"]
+        assert instances_of(result.graph, reg.cls("ModsItem")) == [Iri(reg.base_iri + "m1/item0")]
+        assert not instances_of(result.graph, reg.cls("Agent"))
 
 
 class TestMappedGraphsValidate:
