@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .graph import XSD_BOOLEAN, XSD_NS, XSD_STRING, Iri
-from .vocab import VocabularyError, VocabularyRegistry
+from .graph import XSD_BOOLEAN, XSD_STRING, Iri
+from .vocab import VocabularyRegistry
 
 
 class VocabFiller(NamedTuple):
@@ -72,9 +72,6 @@ class ConstraintCatalog(tuple):
     """The constraints, in catalog order; iterating or indexing it yields them."""
 
     __slots__ = ()
-
-    def __new__(cls, constraints: tuple[Constraint, ...]):
-        return super().__new__(cls, constraints)
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
@@ -357,48 +354,7 @@ def catalog(registry: VocabularyRegistry) -> ConstraintCatalog:
         ),
     )
 
-    built = ConstraintCatalog(entries)
-    _check_resolvable(built, registry)
-    return built
-
-
-def _check_resolvable(built: ConstraintCatalog, registry: VocabularyRegistry) -> None:
-    """Every IRI a constraint mentions must be registered (or an XSD type)."""
-    ids = [c.axiom_id for c in built]
-    if len(set(ids)) != len(ids):
-        raise VocabularyError("duplicate axiom ids in catalog")
-    classes = set(registry.classes.values())
-    properties = set(registry.properties.values())
-
-    def check_class(iri):
-        if iri is not None and iri not in classes:
-            raise VocabularyError(f"constraint references unregistered class {iri.value}")
-
-    def check_prop(iri):
-        if iri is not None and iri not in properties:
-            raise VocabularyError(f"constraint references unregistered property {iri.value}")
-
-    for constraint in built:
-        check_class(constraint.scope_class)
-        check_class(constraint.source_class)
-        check_class(constraint.required_class)
-        check_class(constraint.sub)
-        check_class(constraint.sup)
-        check_prop(constraint.prop)
-        check_prop(constraint.prop2)
-        filler = constraint.filler
-        if isinstance(filler, Iri):
-            check_class(filler)
-        elif isinstance(filler, VocabFiller):
-            if filler.vocabulary not in registry.vocabularies:
-                raise VocabularyError(f"constraint references unknown vocabulary {filler.vocabulary}")
-        elif isinstance(filler, DatatypeFiller):
-            if not filler.datatype.value.startswith(XSD_NS):
-                raise VocabularyError(f"constraint references unknown datatype {filler.datatype.value}")
-        if constraint.chain is not None:
-            check_prop(constraint.chain[0])
-            check_prop(constraint.chain[1])
-            check_prop(constraint.chain[3])
+    return ConstraintCatalog(entries)
 
 
 def catalog_table_markdown(built: ConstraintCatalog) -> str:

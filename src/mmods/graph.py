@@ -2,11 +2,11 @@
 
 A Graph has set semantics: adding a triple twice leaves one copy.  It is the
 one store: terms are interned to integer ids, and pattern matching and
-rule saturation (apply_rules) run on the id triples.  Its indexes, one per
-triple position, are built on first use, so building and writing a graph
-maintains none, and saturation and validation build only the predicate
-index (1,).  term_id, term and match_ids expose the id level to the
-validator.  Canonical text and blank labels are canonical.py's.
+rule saturation (apply_rules) run on the id triples.  Its one index, by
+predicate, is built on first use, so building and writing a graph maintains
+none; saturation and validation read only that index.  term_id, term and
+match_ids expose the id level to the validator.  Canonical text and blank
+labels are canonical.py's.
 """
 
 from __future__ import annotations
@@ -203,19 +203,18 @@ class Graph:
     """Mutable triple set with interned terms and pattern matching on ids.
 
     Terms are interned to integer ids, and the id triples are the keys of one
-    insertion-ordered dict.  An index maps the ids at one triple position,
-    (0,), (1,) or (2,), to the triples holding them; match_ids builds each
-    in one pass the first time a pattern needs it, and later adds keep the
-    built ones current.  A graph that is only written builds none.
+    insertion-ordered dict.  The predicate index maps each predicate id to
+    the triples holding it; match_ids builds it in one pass the first time a
+    pattern binds the predicate, and later adds keep it current.  A graph
+    that is only written never builds it.
     """
 
     def __init__(self):
         self._terms: list[Term] = []
         self._ids: dict[Term, int] = {}
         self._triples: dict[tuple[int, int, int], None] = {}
-        # (position,) -> index from the ids at that triple position to the
-        # triples holding them.
-        self._indexes: dict[tuple[int], dict[int, list]] = {}
+        # Predicate id -> the triples holding it; None until first built.
+        self._by_predicate: Optional[dict[int, list]] = None
         self._blank_counter = 0
 
     def _intern(self, term: Term) -> int:
@@ -236,19 +235,9 @@ class Graph:
         if t in self._triples:
             return False
         self._triples[t] = None
-        for (position,), index in self._indexes.items():
-            index.setdefault(t[position], []).append(t)
+        if self._by_predicate is not None:
+            self._by_predicate.setdefault(p, []).append(t)
         return True
-
-    def _index(self, position: int) -> dict:
-        """The index from the ids at one triple position to the triples
-        holding them, built on first use."""
-        index = self._indexes.get((position,))
-        if index is None:
-            index = self._indexes[(position,)] = {}
-            for t in self._triples:
-                index.setdefault(t[position], []).append(t)
-        return index
 
     def add(self, s: Node, p: Iri, o: Term) -> "Graph":
         if not isinstance(s, (Iri, BlankNode)):
@@ -314,27 +303,21 @@ class Graph:
     def match_ids(self, s: int, p: int, o: int) -> list[tuple[int, int, int]]:
         """Id triples matching the pattern (WILDCARD, -1, = any), unsorted.
 
-        A bound subject is looked up in the (0,) index, else a bound object
-        in (2,), else a bound predicate in (1,); the other bound positions
-        filter those candidates.
+        A bound predicate is looked up in the predicate index, and a pattern
+        without one scans every triple; bound subject and object filter.
         """
-        if s != WILDCARD:
-            if p != WILDCARD and o != WILDCARD:
-                return [(s, p, o)] if (s, p, o) in self._triples else []
-            cands = self._index(0).get(s, ())
-            if p != WILDCARD:
-                return [t for t in cands if t[1] == p]
-            if o != WILDCARD:
-                return [t for t in cands if t[2] == o]
+        if p == WILDCARD:
+            cands = self._triples
+        else:
+            index = self._by_predicate
+            if index is None:
+                index = self._by_predicate = {}
+                for t in self._triples:
+                    index.setdefault(t[1], []).append(t)
+            cands = index.get(p, ())
+        if s == WILDCARD and o == WILDCARD:
             return list(cands)
-        if o != WILDCARD:
-            cands = self._index(2).get(o, ())
-            if p != WILDCARD:
-                return [t for t in cands if t[1] == p]
-            return list(cands)
-        if p != WILDCARD:
-            return list(self._index(1).get(p, ()))
-        return list(self._triples)
+        return [t for t in cands if (s == WILDCARD or t[0] == s) and (o == WILDCARD or t[2] == o)]
 
     def fresh_blank(self) -> BlankNode:
         """A blank node whose label is unused in this graph: b0, b1, ..."""
@@ -348,7 +331,7 @@ class Graph:
         """An independent graph with the same terms and triples, in O(n).
 
         The term list, the id map and the triple dict are copied as they
-        stand; the copy builds its own indexes when it is first matched.
+        stand; the copy builds its own predicate index when first matched.
         """
         dup = Graph()
         dup._terms = list(self._terms)
@@ -375,7 +358,7 @@ class Graph:
         is entered in the adjacency maps of its predicate, then joined with
         the edges entered before it (and itself), so every pair of premises
         meets once the later of the two is taken.  Rules only connect
-        existing nodes, so the loop terminates.  Only the (1,) index is read.
+        existing nodes, so the loop terminates.  Only the predicate index is read.
         """
         rdf_type = self._intern(RDF_TYPE)
         supers: dict[int, list[int]] = {}

@@ -5,13 +5,18 @@ the shared attribute groups become typed nodes linked to it. Anything the
 mapping does not cover is reported as a warning, never an error. The one
 error is a record ID that cannot name the record's nodes: one that is not
 valid IRI text, or one that repeats within the document.
+
+Attributes whose values come from a vocabulary are data: one table per
+element (NAME_ATTRIBUTES, NAME_PART_ATTRIBUTES, DATE_ATTRIBUTES) that
+_map_attributes reads in row order.  A row maps listed values to members
+and says whether an unlisted value is warned about or minted.
 """
 
 from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 from .graph import RDF_TYPE, XSD_BOOLEAN, Graph, GraphError, Iri, Literal
 from .modsxml import XLINK_NS, XML_NS, ModsDocument, local_name
@@ -23,34 +28,73 @@ XLINK_HREF = f"{{{XLINK_NS}}}href"
 # Readable names of namespaced attributes, for warnings.
 _ATTR_ALIASES = {XML_LANG: "xml:lang", XLINK_HREF: "xlink:href"}
 
-DATE_ELEMENTS = {
-    "dateIssued": "DateIssued",
-    "dateCreated": "DateCreated",
-    "dateCaptured": "DateCaptured",
-    "dateModified": "DateModified",
-    "dateValid": "DateValid",
-    "dateOther": "DateOther",
-    "copyrightDate": "CopyrightDate",
-}
+# Date element -> its DateInfoType individual, the tag with a capital initial.
+_DATES = "dateIssued dateCreated dateCaptured dateModified dateValid dateOther copyrightDate"
+DATE_ELEMENTS = {tag: tag[0].upper() + tag[1:] for tag in _DATES.split()}
 
-NAME_TYPE_VALUES = {
-    "personal": "Personal",
-    "corporate": "Corporate",
-    "conference": "Conference",
-    "family": "Family",
-}
+# The children of name whose text is their value; empty ones are skipped.
+_NAME_TEXT_CHILDREN = ("namePart", "affiliation", "displayForm", "nameIdentifier")
 
-NAME_PART_TYPES = {"given": "FirstName", "family": "LastName"}
 
-QUALIFIER_VALUES = {
-    "approximate": "Approximate",
-    "inferred": "Inferred",
-    "questionable": "Questionable",
-}
+class _Attribute(NamedTuple):
+    """A table row: a listed value (looked up lower-cased if `lower`) becomes
+    its member, an individual's name or a literal; an unlisted one is minted
+    in the open vocabulary `mint`, if given, or else warned about with the
+    format `warn`."""
 
-POINT_VALUES = {"start": "Start", "end": "End"}
+    key: str
+    prop: str
+    members: dict[str, Union[str, Literal]]
+    lower: bool = False
+    warn: Optional[str] = None
+    mint: Optional[str] = None
 
-ENCODING_VALUES = {"w3cdtf": "W3cdtf", "iso8601": "Iso8601"}
+
+NAME_ATTRIBUTES = (
+    _Attribute(
+        "type", "hasNameType",
+        {"personal": "Personal", "corporate": "Corporate",
+         "conference": "Conference", "family": "Family"},
+        warn="unknown name type {!r}, skipped",
+    ),
+    _Attribute(
+        "usage", "isPrimaryInstance", {"primary": "Primary"},
+        warn="unknown usage value {!r}, skipped",
+    ),
+)
+NAME_PART_ATTRIBUTES = (
+    _Attribute(
+        "type", "hasNamePartType", {"given": "FirstName", "family": "LastName"},
+        warn="namePart type {!r} has no individual, left untyped",
+    ),
+)
+DATE_ATTRIBUTES = (
+    _Attribute(
+        "encoding", "hasDateEncodingType", {"w3cdtf": "W3cdtf", "iso8601": "Iso8601"},
+        lower=True, mint="DateEncoding",
+    ),
+    _Attribute(
+        "keyDate", "isKeyDate", {"yes": Literal("true", XSD_BOOLEAN)},
+        warn="keyDate value {!r} is not 'yes', skipped",
+    ),
+    _Attribute(
+        "point", "isStartOrEndPoint", {"start": "Start", "end": "End"},
+        lower=True, warn="unknown point value {!r}, skipped",
+    ),
+    _Attribute(
+        "qualifier", "hasQualifier",
+        {"approximate": "Approximate", "inferred": "Inferred", "questionable": "Questionable"},
+        lower=True, warn="unknown qualifier value {!r}, skipped",
+    ),
+    _Attribute("calendar", "hasAlternativeCalendar", {}, mint="Calendar"),
+)
+
+# The language group's attributes and their properties, in order; lang and
+# xml:lang both give hasLang, so equal values of the two add one triple.
+_LANGUAGE_ATTRIBUTES = (
+    ("lang", "hasLang"), (XML_LANG, "hasLang"),
+    ("script", "hasScript"), ("transliteration", "hasTransliteration"),
+)
 
 
 def _text(element: ET.Element) -> str:
@@ -62,18 +106,13 @@ class MappingError(ValueError):
     """A record ID that cannot name the record's nodes."""
 
 
-class MappingResult:
+class MappingResult(NamedTuple):
     """A mapped graph, the warnings gathered while producing it, and the
     record IDs it carries in document order."""
 
-    __slots__ = ("graph", "warnings", "record_ids")
-
-    def __init__(
-        self, graph: Graph, warnings: Optional[list[str]] = None, record_ids: Optional[list[str]] = None
-    ):
-        self.graph = graph
-        self.warnings = [] if warnings is None else warnings
-        self.record_ids = [] if record_ids is None else record_ids
+    graph: Graph
+    warnings: list[str]
+    record_ids: list[str]
 
 
 class _Ids(dict):
@@ -92,16 +131,15 @@ class _DocumentContext:
     """Mutable state while mapping one document, on the graph's ids.
 
     The graph, the registry terms' ids, the organization table and the
-    warning list are shared by the document's records; node minting, the
-    name parts and the item are per record (start_record resets them).
-    Each minted node and literal is interned once, when it is created.
+    warning list are shared by the document's records; node minting and
+    the item are per record (start_record resets them).  Each minted node
+    and literal is interned once, when it is created.
     """
 
-    def __init__(self, graph, registry, base_iri):
+    def __init__(self, graph, registry):
         self.graph = graph
         self.intern, self.add = graph._intern, graph._add_ids
-        self.registry = registry
-        self.base_iri = base_iri
+        self.base_iri = registry.base_iri
         self.cls = _Ids(self.intern, registry.cls)
         self.prop = _Ids(self.intern, registry.prop)
         self.individual = _Ids(self.intern, registry.individual)
@@ -112,7 +150,6 @@ class _DocumentContext:
     def start_record(self, record_id: str) -> None:
         self.record_id = record_id
         self.counters: dict[str, int] = {}
-        self.name_parts: set[int] = set()
         self.item = self.node("item", "ModsItem")
 
     def mint(self, kind: str) -> int:
@@ -132,36 +169,40 @@ class _DocumentContext:
         return new
 
 
-def _individual_name(value: str) -> str:
-    """Upper-camel identifier derived from an attribute value, or ''."""
-    words = re.findall(r"[0-9A-Za-z]+", value)
-    if not words:
-        return ""
-    return "".join(word[:1].upper() + word[1:] for word in words)
+def _map_attributes(element: ET.Element, owner, table, ctx: _DocumentContext) -> None:
+    """The element's attributes that the table's rows name, in row order.
 
-
-def _mint_vocab_individual(ctx: _DocumentContext, vocab_name: str, value: str):
-    """An individual for an open-vocabulary value not predefined.
-
-    The individual is typed as the vocabulary class so membership checks
-    accept it; a warning records the extension.
+    An unlisted value of an open vocabulary mints an individual named by the
+    value's words in upper camel case, typed as the vocabulary class so
+    membership checks accept it; a warning records the extension.
     """
-    local = _individual_name(value)
-    if not local:
-        ctx.warn(f"cannot derive a {vocab_name} individual from {value!r}, skipped")
-        return None
-    # Vocabulary extensions live under the registry base, not the node base.
-    iri = ctx.intern(Iri(ctx.registry.base_iri + local))
-    ctx.add(iri, ctx.rdf_type, ctx.cls[vocab_name])
-    ctx.warn(f"minted {vocab_name} individual {local!r} for value {value!r}")
-    return iri
+    for row in table:
+        value = element.get(row.key)
+        if value is None:
+            continue
+        member = row.members.get(value.lower() if row.lower else value)
+        if member is not None:
+            target = ctx.individual[member] if isinstance(member, str) else ctx.intern(member)
+        elif row.mint is not None:
+            local = "".join(w[:1].upper() + w[1:] for w in re.findall(r"[0-9A-Za-z]+", value))
+            if not local:
+                ctx.warn(f"cannot derive a {row.mint} individual from {value!r}, skipped")
+                continue
+            target = ctx.intern(Iri(ctx.base_iri + local))
+            ctx.add(target, ctx.rdf_type, ctx.cls[row.mint])
+            ctx.warn(f"minted {row.mint} individual {local!r} for value {value!r}")
+        else:
+            ctx.warn(row.warn.format(value))
+            continue
+        ctx.add(owner, ctx.prop[row.prop], target)
 
 
-def map_common_attributes(element: ET.Element, owner, ctx: _DocumentContext) -> None:
+def map_common_attributes(element: ET.Element, owner, ctx: _DocumentContext, name_part=False) -> None:
     """Shared attribute handling: display label, link, and language groups.
 
     At most one link node and one language node are created per element;
-    nothing is added when none of the attributes are present.
+    nothing is added when none of the attributes are present.  A name
+    part's ID is dropped with a warning.
     """
     add = ctx.add
     attrs = element.attrib
@@ -171,10 +212,8 @@ def map_common_attributes(element: ET.Element, owner, ctx: _DocumentContext) -> 
         add(owner, ctx.prop["hasDisplayLabel"], ctx.intern(Literal(label)))
 
     element_id = attrs.get("ID")
-    if element_id is not None and owner in ctx.name_parts:
-        ctx.warn(
-            f"ID {element_id!r} on a namePart dropped: name parts must not carry IDs"
-        )
+    if element_id is not None and name_part:
+        ctx.warn(f"ID {element_id!r} on a namePart dropped: name parts must not carry IDs")
         element_id = None
     href = attrs.get(XLINK_HREF, attrs.get("href"))
     if element_id is not None or href is not None:
@@ -185,22 +224,12 @@ def map_common_attributes(element: ET.Element, owner, ctx: _DocumentContext) -> 
         if href is not None:
             add(link, ctx.prop["hasHref"], ctx.intern(Literal(href)))
 
-    langs = []
-    for key in ("lang", XML_LANG):
-        value = attrs.get(key)
-        if value is not None and value not in langs:
-            langs.append(value)
-    script = attrs.get("script")
-    transliteration = attrs.get("transliteration")
-    if langs or script is not None or transliteration is not None:
+    values = [(prop, attrs[key]) for key, prop in _LANGUAGE_ATTRIBUTES if key in attrs]
+    if values:
         lang_node = ctx.node("languageAttributes", "LanguageAttributes")
         add(owner, ctx.prop["hasLanguageAttributes"], lang_node)
-        for value in langs:
-            add(lang_node, ctx.prop["hasLang"], ctx.intern(Literal(value)))
-        if script is not None:
-            add(lang_node, ctx.prop["hasScript"], ctx.intern(Literal(script)))
-        if transliteration is not None:
-            add(lang_node, ctx.prop["hasTransliteration"], ctx.intern(Literal(transliteration)))
+        for prop, value in values:
+            add(lang_node, ctx.prop[prop], ctx.intern(Literal(value)))
 
 
 def _map_affiliation(text: str, agent, ctx: _DocumentContext) -> None:
@@ -210,7 +239,6 @@ def _map_affiliation(text: str, agent, ctx: _DocumentContext) -> None:
         org = ctx.node("organization", "Organization")
         org_name = ctx.node("name", "Name")
         org_part = ctx.node("namePart", "NamePart")
-        ctx.name_parts.add(org_part)
         add(org, ctx.prop["hasName"], org_name)
         add(org_name, ctx.prop["hasNamePart"], org_part)
         add(org_part, ctx.prop["hasValue"], ctx.intern(Literal(text)))
@@ -218,7 +246,29 @@ def _map_affiliation(text: str, agent, ctx: _DocumentContext) -> None:
     add(agent, ctx.prop["hasAffiliation"], org)
 
 
-def map_name(element: ET.Element, ctx: _DocumentContext):
+def _map_role(element: ET.Element, agent, name, ctx: _DocumentContext) -> None:
+    add = ctx.add
+    found = False
+    for term in element:
+        tag = local_name(term.tag)
+        if tag != "roleTerm":
+            ctx.warn(f"unmapped element name/role/{tag or term.tag}")
+            continue
+        found = True
+        text = _text(term)
+        if not text:
+            ctx.warn("empty roleTerm skipped")
+            continue
+        role = ctx.node("agentRole", "AgentRole")
+        add(role, ctx.prop["hasValue"], ctx.intern(Literal(text)))
+        add(agent, ctx.prop["assumesAgentRole"], role)
+        add(role, ctx.prop["hasRoleUnderName"], name)
+        add(ctx.item, ctx.prop["providesAgentRole"], role)
+    if not found:
+        ctx.warn("role without roleTerm skipped")
+
+
+def map_name(element: ET.Element, ctx: _DocumentContext) -> None:
     """One name element: agent, name, parts, roles, and related nodes."""
     add = ctx.add
 
@@ -226,145 +276,61 @@ def map_name(element: ET.Element, ctx: _DocumentContext):
     name = ctx.node("name", "Name")
     add(agent, ctx.prop["hasName"], name)
 
-    name_type = element.get("type")
-    if name_type is not None:
-        individual = NAME_TYPE_VALUES.get(name_type)
-        if individual is None:
-            ctx.warn(f"unknown name type {name_type!r}, skipped")
-        else:
-            add(name, ctx.prop["hasNameType"], ctx.individual[individual])
-
-    if element.get("usage") == "primary":
-        add(name, ctx.prop["isPrimaryInstance"], ctx.individual["Primary"])
-
+    _map_attributes(element, name, NAME_ATTRIBUTES, ctx)
     authority = element.get("authority")
     if authority is not None:
         info = ctx.node("authorityInfo", "AuthorityInfo")
         add(name, ctx.prop["hasAuthorityInfo"], info)
         add(info, ctx.prop["hasValue"], ctx.intern(Literal(authority)))
-
     map_common_attributes(element, name, ctx)
 
     for child in element:
         tag = local_name(child.tag)
-        if tag == "namePart":
-            text = _text(child)
-            if not text:
-                ctx.warn("empty namePart skipped")
-                continue
+        if tag == "role":
+            _map_role(child, agent, name, ctx)
+            continue
+        if tag not in _NAME_TEXT_CHILDREN:
+            ctx.warn(f"unmapped element name/{tag or child.tag}")
+            continue
+        text = _text(child)
+        if not text:
+            ctx.warn(f"empty {tag} skipped")
+        elif tag == "namePart":
             part = ctx.node("namePart", "NamePart")
-            ctx.name_parts.add(part)
             add(name, ctx.prop["hasNamePart"], part)
             add(part, ctx.prop["hasValue"], ctx.intern(Literal(text)))
-            part_type = child.get("type")
-            if part_type is not None:
-                individual = NAME_PART_TYPES.get(part_type)
-                if individual is None:
-                    ctx.warn(f"namePart type {part_type!r} has no individual, left untyped")
-                else:
-                    add(part, ctx.prop["hasNamePartType"], ctx.individual[individual])
-            map_common_attributes(child, part, ctx)
-        elif tag == "role":
-            terms = [_text(term) for term in child if local_name(term.tag) == "roleTerm"]
-            if not terms:
-                ctx.warn("role without roleTerm skipped")
-            for text in terms:
-                if not text:
-                    ctx.warn("empty roleTerm skipped")
-                    continue
-                role = ctx.node("agentRole", "AgentRole")
-                add(role, ctx.prop["hasValue"], ctx.intern(Literal(text)))
-                add(agent, ctx.prop["assumesAgentRole"], role)
-                add(role, ctx.prop["hasRoleUnderName"], name)
-                add(ctx.item, ctx.prop["providesAgentRole"], role)
+            _map_attributes(child, part, NAME_PART_ATTRIBUTES, ctx)
+            map_common_attributes(child, part, ctx, name_part=True)
         elif tag == "affiliation":
-            text = _text(child)
-            if not text:
-                ctx.warn("empty affiliation skipped")
-                continue
             _map_affiliation(text, agent, ctx)
         elif tag == "displayForm":
-            text = _text(child)
-            if not text:
-                ctx.warn("empty displayForm skipped")
-                continue
             add(name, ctx.prop["hasDisplayForm"], ctx.intern(Literal(text)))
-        elif tag == "nameIdentifier":
-            text = _text(child)
-            if not text:
-                ctx.warn("empty nameIdentifier skipped")
-                continue
+        else:
             identifier = ctx.node("nameIdentifier", "NameIdentifier")
             add(identifier, ctx.rdf_type, ctx.cls["Identifier"])
             add(name, ctx.prop["hasNameIdentifier"], identifier)
             add(identifier, ctx.prop["hasValue"], ctx.intern(Literal(text)))
             map_common_attributes(child, identifier, ctx)
-        else:
-            ctx.warn(f"unmapped element name/{tag or child.tag}")
-    return name
 
 
-def map_date(element: ET.Element, ctx: _DocumentContext, owner=None):
-    """One date element: a date node with exactly one attribute node."""
+def map_date(element: ET.Element, ctx: _DocumentContext) -> None:
+    """One date element of the item: a date node with exactly one attribute node."""
     add = ctx.add
-    if owner is None:
-        owner = ctx.item
-
     tag = local_name(element.tag)
     text = _text(element)
     if not text:
         ctx.warn(f"empty {tag} skipped")
-        return None
+        return
 
     date = ctx.node("dateInfo", "DateInfo")
-    add(owner, ctx.prop["hasDateInfo"], date)
+    add(ctx.item, ctx.prop["hasDateInfo"], date)
     add(date, ctx.prop["hasValue"], ctx.intern(Literal(text)))
     add(date, ctx.prop["isOfType"], ctx.individual[DATE_ELEMENTS[tag]])
 
     attrs_node = ctx.node("dateAttributes", "DateAttributes")
     add(date, ctx.prop["hasDateAttributes"], attrs_node)
-
-    encoding = element.get("encoding")
-    if encoding is not None:
-        individual = ENCODING_VALUES.get(encoding.lower())
-        if individual is not None:
-            target = ctx.individual[individual]
-        else:
-            target = _mint_vocab_individual(ctx, "DateEncoding", encoding)
-        if target is not None:
-            add(attrs_node, ctx.prop["hasDateEncodingType"], target)
-
-    key_date = element.get("keyDate")
-    if key_date is not None:
-        if key_date == "yes":
-            add(attrs_node, ctx.prop["isKeyDate"], ctx.intern(Literal("true", XSD_BOOLEAN)))
-        else:
-            ctx.warn(f"keyDate value {key_date!r} is not 'yes', skipped")
-
-    point = element.get("point")
-    if point is not None:
-        individual = POINT_VALUES.get(point.lower())
-        if individual is None:
-            ctx.warn(f"unknown point value {point!r}, skipped")
-        else:
-            add(attrs_node, ctx.prop["isStartOrEndPoint"], ctx.individual[individual])
-
-    qualifier = element.get("qualifier")
-    if qualifier is not None:
-        individual = QUALIFIER_VALUES.get(qualifier.lower())
-        if individual is None:
-            ctx.warn(f"unknown qualifier value {qualifier!r}, skipped")
-        else:
-            add(attrs_node, ctx.prop["hasQualifier"], ctx.individual[individual])
-
-    calendar = element.get("calendar")
-    if calendar is not None:
-        target = _mint_vocab_individual(ctx, "Calendar", calendar)
-        if target is not None:
-            add(attrs_node, ctx.prop["hasAlternativeCalendar"], target)
-
+    _map_attributes(element, attrs_node, DATE_ATTRIBUTES, ctx)
     map_common_attributes(element, date, ctx)
-    return date
 
 
 def _map_record_element(record: ET.Element, ctx: _DocumentContext) -> None:
@@ -388,22 +354,25 @@ def _map_record_element(record: ET.Element, ctx: _DocumentContext) -> None:
             ctx.warn(f"unmapped element {tag or child.tag}")
 
 
-def map_record(document: ModsDocument, registry: VocabularyRegistry, base_iri=None) -> MappingResult:
+def map_record(document: ModsDocument, registry: VocabularyRegistry) -> MappingResult:
     """Map every record of a parsed document into one fresh graph.
 
-    Nodes are minted as IRIs under the record ID when the record carries
-    one, otherwise as blank nodes. Equal affiliation strings share one
-    organization node across the whole document. Raises MappingError for
-    a record ID that is not valid IRI text or that an earlier record of
-    the document already carries (MODS types it xs:ID, unique per document).
+    Nodes are minted as IRIs under the registry's base and the record ID
+    when the record carries one, otherwise as blank nodes. Equal
+    affiliation strings share one organization node across the whole
+    document. A child of a modsCollection that is not a record is warned
+    about, in document order. Raises MappingError for a record ID that is
+    not valid IRI text or that an earlier record of the document already
+    carries (MODS types it xs:ID, unique per document).
     """
-    if base_iri is None:
-        base_iri = registry.base_iri
-    elif not base_iri.endswith(("/", "#")):
-        base_iri += "/"
-    ctx = _DocumentContext(Graph(), registry, base_iri)
+    ctx = _DocumentContext(Graph(), registry)
     record_ids: dict[str, None] = {}  # ordered, for MappingResult.record_ids
-    for record in document.records():
+    root = document.root
+    for record in (root,) if local_name(root.tag) == "mods" else root:
+        tag = local_name(record.tag)
+        if tag != "mods":
+            ctx.warnings.append(f"unmapped element modsCollection/{tag or record.tag}")
+            continue
         record_id = record.get("ID", "")
         if record_id:
             try:
@@ -415,4 +384,4 @@ def map_record(document: ModsDocument, registry: VocabularyRegistry, base_iri=No
             record_ids[record_id] = None
         ctx.start_record(record_id)
         _map_record_element(record, ctx)
-    return MappingResult(graph=ctx.graph, warnings=ctx.warnings, record_ids=list(record_ids))
+    return MappingResult(ctx.graph, ctx.warnings, list(record_ids))

@@ -11,7 +11,7 @@ from mmods.axioms import (
     catalog,
     catalog_table_markdown,
 )
-from mmods.graph import XSD_BOOLEAN, XSD_STRING
+from mmods.graph import XSD_BOOLEAN, XSD_NS, XSD_STRING, Iri
 from mmods.vocab import VocabularyRegistry
 
 DOCS_TABLE = Path(__file__).resolve().parent.parent / "docs" / "axiom-catalog.md"
@@ -175,11 +175,22 @@ class TestKeyEntries:
 
     def test_every_property_reference_is_registered(self, cat, reg):
         registered = set(reg.properties.values())
+        classes = set(reg.classes.values())
         for c in cat:
             for prop in (c.prop, c.prop2):
                 assert prop is None or prop in registered
             if c.chain is not None:
                 assert {c.chain[0], c.chain[1], c.chain[3]} <= registered
+            for cls in (c.scope_class, c.source_class, c.required_class, c.sub, c.sup):
+                assert cls is None or cls in classes, c.code
+            if isinstance(c.filler, Iri):
+                assert c.filler in classes, c.code
+            elif isinstance(c.filler, VocabFiller):
+                assert c.filler.vocabulary in reg.vocabularies, c.code
+            elif isinstance(c.filler, DatatypeFiller):
+                assert c.filler.datatype.value.startswith(XSD_NS), c.code
+            else:
+                assert c.filler is None, c.code
 
 
 class TestDocsTable:

@@ -515,8 +515,8 @@ class TestInPlaceSaturation:
 
 
 class TestIndexesBuilt:
-    """The validate path reads the graph by predicate only, so it builds the
-    (1,) index alone; convert matches no pattern and builds none."""
+    """The validate path reads the graph by predicate, so it builds the
+    predicate index; convert matches no pattern and builds none."""
 
     def _mapped(self, registry):
         for record in sorted(FIXTURES.glob("*.xml")):
@@ -531,14 +531,14 @@ class TestIndexesBuilt:
         for record, graph in self._mapped(registry):
             graph.apply_rules(rules.chains(), rules.subclass_pairs())
             mmods.validate(graph, rules, registry, infer=False)
-            assert list(graph._indexes) == [(1,)], record
+            assert graph._by_predicate is not None, record
 
     def test_convert_builds_no_index(self):
         registry = VocabularyRegistry()
         for record, graph in self._mapped(registry):
             mmods.write_ntriples(graph)
             mmods.write_turtle(graph, registry)
-            assert graph._indexes == {}, record
+            assert graph._by_predicate is None, record
 
 
 # Nine levels of internal entities, each ten references to the one below:

@@ -334,6 +334,13 @@ class TestMatch:
         g = Graph().add(A, P, B).add(B, Q, Literal("v"))
         assert len(g.match()) == 2
 
+    def test_only_a_bound_predicate_builds_the_index(self):
+        g = Graph().add(A, P, B).add(B, Q, Literal("v"))
+        assert g.match(A) and g.match(None, None, B) and g._by_predicate is None
+        assert g.match(None, P) and g._by_predicate is not None
+        g.add(A, Q, B)
+        assert g.match(None, Q, B) == [Triple(A, Q, B)]
+
 
 _STORE_NODES = [A, B, BlankNode("x"), BlankNode("y")]
 _STORE_OBJECTS = _STORE_NODES + [Literal("v"), Literal("v", lang="en")]
@@ -382,8 +389,10 @@ def test_store_against_a_model_across_copies(ops):
                 assert {tuple(map(g.term, t)) for t in found} == expected, pattern
     for g, model in zip(graphs, models):
         assert set(g.triples()) == model and len(g) == len(model)
-        # Every pattern is served by the single-position indexes.
-        assert set(g._indexes) <= {(0,), (1,), (2,)}
+        # The one index, once built, holds every triple once, under its predicate.
+        if g._by_predicate is not None:
+            indexed = [t for p, held in g._by_predicate.items() for t in held if t[1] == p]
+            assert sorted(indexed) == sorted(g._triples)
 
 
 class TestInstancesOf:

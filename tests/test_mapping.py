@@ -73,11 +73,6 @@ class TestRecordShape:
         assert len(items) == 1
         assert isinstance(items[0], BlankNode)
 
-    def test_base_iri_override(self, reg):
-        data = (FIXTURES / "personal.xml").read_bytes()
-        result = map_record(parse_mods_xml(data), reg, base_iri="urn:batch7")
-        assert result.graph.match(Iri("urn:batch7/rec1/item0"), RDF_TYPE, None)
-
     def test_collection_one_item_per_record(self, reg):
         result = convert("collection.xml", reg)
         assert len(instances_of(result.graph, reg.cls("ModsItem"))) == 2
@@ -168,6 +163,11 @@ class TestNames:
     def test_primary_usage(self, reg):
         g = convert("personal.xml", reg).graph
         assert g.match(None, reg.prop("isPrimaryInstance"), reg.individual("Primary"))
+
+    def test_other_usage_warns(self, reg):
+        result = convert('<mods><name usage="secondary"><namePart>R</namePart></name></mods>', reg)
+        assert not result.graph.match(None, reg.prop("isPrimaryInstance"), None)
+        assert result.warnings == ["unknown usage value 'secondary', skipped"]
 
     def test_display_form(self, reg):
         g = convert("personal.xml", reg).graph
@@ -361,6 +361,12 @@ class TestCommonAttributes:
         assert g.match(langs[0], reg.prop("hasLang"), Literal("en"))
         assert g.match(langs[0], reg.prop("hasScript"), Literal("Latn"))
 
+    @pytest.mark.parametrize("xml_lang, expected", [("en", {"en"}), ("fr", {"en", "fr"})])
+    def test_lang_and_xml_lang_share_one_node(self, reg, xml_lang, expected):
+        g = convert(f'<mods><name lang="en" xml:lang="{xml_lang}"><namePart>N</namePart></name></mods>', reg).graph
+        (lang_node,) = instances_of(g, reg.cls("LanguageAttributes"))
+        assert {t.o.lexical for t in g.match(lang_node, reg.prop("hasLang"), None)} == expected
+
     def test_transliteration(self, reg):
         g = convert("attrs.xml", reg).graph
         assert g.match(None, reg.prop("hasTransliteration"), Literal("hepburn"))
@@ -443,6 +449,7 @@ class TestForeignNamespaces:
         )
         assert result.warnings == [
             "record r1: unmapped element name/{urn:other}namePart",
+            "record r1: unmapped element name/role/{urn:other}roleTerm",
             "record r1: role without roleTerm skipped",
             "record r1: unmapped element originInfo/{urn:other}dateIssued",
         ]
@@ -450,6 +457,38 @@ class TestForeignNamespaces:
         values = {t.o.lexical for t in g.match(None, reg.prop("hasValue"), None)}
         assert values == {"B", "2002"}
         assert not instances_of(g, reg.cls("AgentRole"))
+
+    def test_other_children_of_a_role_warn(self, reg):
+        result = convert(
+            '<mods xmlns:x="urn:other"><name><namePart>A</namePart><role>'
+            "<x:roleTerm>editor</x:roleTerm><roleTerm>author</roleTerm><note/>"
+            "</role></name></mods>",
+            reg,
+        )
+        assert result.warnings == [
+            "unmapped element name/role/{urn:other}roleTerm",
+            "unmapped element name/role/note",
+        ]
+        roles = instances_of(result.graph, reg.cls("AgentRole"))
+        assert [t.o for t in result.graph.match(roles[0], reg.prop("hasValue"), None)] == [
+            Literal("author")
+        ]
+        assert len(roles) == 1
+
+    def test_other_children_of_a_collection_warn_in_document_order(self, reg):
+        result = convert(
+            '<modsCollection xmlns="http://www.loc.gov/mods/v3" xmlns:x="urn:other">'
+            '<mods ID="a"><titleInfo/></mods><x:mods ID="b"/><note/>'
+            "<mods><titleInfo/></mods></modsCollection>",
+            reg,
+        )
+        assert result.warnings == [
+            "record a: unmapped element titleInfo",
+            "unmapped element modsCollection/{urn:other}mods",
+            "unmapped element modsCollection/note",
+            "unmapped element titleInfo",
+        ]
+        assert result.record_ids == ["a"]
 
     def test_foreign_mods_in_a_collection_is_not_a_record(self, reg):
         result = convert(
