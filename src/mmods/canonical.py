@@ -2,13 +2,14 @@
 
 canonicalize() produces a text form shared by exactly the graphs that are
 isomorphic under blank-node renaming, so graph comparison is string equality.
+Its lines join the store's keys, each term's N-Triples text, as they stand.
 Both writers take their blank labels c0, c1, ... from _canonical_labels.
 
 The labels come from refining an ordered partition of the blank nodes on
-integer cells: IRIs and literals are ranked by their N-Triples text, and a
-cell splits by its members' edge counts into another cell.  Where a cell
-still holds several blanks, a search individualizes them one at a time and
-keeps the least leaf, compared as integer triples; automorphisms found on
+integer cells: IRIs and literals are ranked by their keys, and a cell
+splits by its members' edge counts into another cell.  Where a cell still
+holds several blanks, a search individualizes them one at a time and keeps
+the least leaf, compared as integer triples; automorphisms found on
 the way prune branches that can only repeat a leaf.  A work budget
 proportional to the triple count bounds the search (LabellingBudgetError).
 tests/oracles.py keeps an unpruned search that must draw the same
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Optional
 
-from .graph import BlankNode, Graph, GraphError, format_term
+from .graph import Graph, GraphError
 
 
 class LabellingBudgetError(GraphError):
@@ -241,9 +242,8 @@ class _Node:
         return None
 
 
-def _canonical_labels(graph: Graph, text: Optional[list] = None) -> dict[int, int]:
-    """The blank id -> N map (label cN) of canonical form v2.  `text` may
-    hold the N-Triples text of the graph's IRIs and literals, by id.
+def _canonical_labels(graph: Graph) -> dict[int, int]:
+    """The blank id -> N map (label cN) of canonical form v2.
 
     Store ids never decide a label.  The blanks start in cells of equal
     signatures, ordered by signature, and the partition is refined until
@@ -255,20 +255,19 @@ def _canonical_labels(graph: Graph, text: Optional[list] = None) -> dict[int, in
     and a leaf equal to the first returns to where its path left the first
     path.
     """
-    terms, triples = graph._terms, graph._triples
-    blanks = {x for x, term in enumerate(terms) if type(term) is BlankNode}
+    keys, triples = graph._keys, graph._triples
+    blanks = {x for x, key in enumerate(keys) if key[0] == "_"}
     held = [t for t in triples if t[0] in blanks or t[2] in blanks]
     if not held:
         return {}
     near = {x for t in held for x in t} - blanks
-    key = text.__getitem__ if text is not None else lambda x: format_term(terms[x])
-    rank = {x: r for r, x in enumerate(sorted(near, key=key))}
+    rank = {x: r for r, x in enumerate(sorted(near, key=keys.__getitem__))}
     width = len(rank) + 1
     # Signatures as integers: (p, other term) * 4 + kind for a self-loop
     # (0, other = width - 1), an edge to (1) or from (2) a ranked term, and
     # label * 4 + 3 for an edge between blanks.
     sigs: defaultdict[int, list[int]] = defaultdict(list)
-    adj: list[list[tuple[int, int]]] = [[] for _ in terms]
+    adj: list[list[tuple[int, int]]] = [[] for _ in keys]
     edges = set()
     coded = []  # held triples, a blank b as ~b and other terms as ranks
     for s, p, o in held:
@@ -354,12 +353,8 @@ def _canonical_labels(graph: Graph, text: Optional[list] = None) -> dict[int, in
 def canonicalize(graph: Graph) -> str:
     """Canonical N-Triples text (canonical form v2): equal strings iff the
     graphs are isomorphic, blank nodes labelled c0, c1, ..."""
-    terms = graph._terms
-    text: list = [None] * len(terms)
-    for x in {x for t in graph._triples for x in t}:
-        if type(terms[x]) is not BlankNode:
-            text[x] = format_term(terms[x])
-    for x, n in _canonical_labels(graph, text).items():
+    text = list(graph._keys)
+    for x, n in _canonical_labels(graph).items():
         text[x] = f"_:c{n}"
     lines = sorted(f"{text[s]} {text[p]} {text[o]} ." for s, p, o in graph._triples)
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + "\n" if lines else ""

@@ -19,7 +19,7 @@ import sys
 
 from .axioms import catalog
 from .canonical import LabellingBudgetError
-from .graph import BlankNode, Graph
+from .graph import Graph
 from .mapping import MappingError, map_record
 from .modsxml import ModsParseError, parse_mods_xml
 from .serialize import (
@@ -120,15 +120,15 @@ def _read_graph_file(path: str) -> Graph:
 def _merge(graphs: list[Graph]) -> Graph:
     """The first graph, with every later one added into it on ids.
 
-    Each term of a later graph is mapped once, its blank nodes to blank
-    nodes fresh in the first, so blank nodes of different inputs stay apart.
-    With one input, that graph itself is the result.
+    Each key of a later graph is mapped once, its blank nodes' ("_:...")
+    to blank nodes fresh in the first, so blank nodes of different inputs
+    stay apart.  With one input, that graph itself is the result.
     """
     merged = graphs[0]
     for graph in graphs[1:]:
         ids = [
-            merged._intern(merged.fresh_blank() if isinstance(term, BlankNode) else term)
-            for term in graph._terms
+            merged._intern(merged._fresh_key() if key.startswith("_:") else key)
+            for key in graph._keys
         ]
         for s, p, o in graph._triples:
             merged._add_ids(ids[s], ids[p], ids[o])

@@ -1,12 +1,12 @@
 """Terms, the in-memory graph and its id store, saturation.
 
 A Graph has set semantics: adding a triple twice leaves one copy.  It is the
-one store: terms are interned to integer ids, and pattern matching and
-rule saturation (apply_rules) run on the id triples.  Its one index, by
+one store: each term is interned to an integer id under its key, the
+N-Triples text format_term writes (<iri>, _:label, or "lex" with @lang or
+^^<dt>), and term objects are built from keys only when asked for.  Rule
+saturation (apply_rules) runs on the id triples.  The one index, by
 predicate, is built on first use, so building and writing a graph maintains
-none; saturation and validation read only that index.  term_id, term and
-match_ids expose the id level to the validator.  Canonical text and blank
-labels are canonical.py's.
+none.  term_id, term and match_ids expose the id level to the validator.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ OWL_NS = "http://www.w3.org/2002/07/owl#"
 
 # N-Triples LANGTAG (https://www.w3.org/TR/n-triples/#grammar-production-LANGTAG).
 _LANGTAG = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
-# IRI text follows N-Triples IRIREF: no U+0000-U+0020 and none of <>"{}|^`\
+# An IRI is absolute: it starts with an RFC 3987 scheme.  Its text follows
+# N-Triples IRIREF: no U+0000-U+0020 and none of <>"{}|^`\
 # (https://www.w3.org/TR/n-triples/#grammar-production-IRIREF), nor any other
 # whitespace.
+_IRI = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*:[^\s\x00-\x20<>"{}|^`\\]*')
 _NOT_IRI_TEXT = re.compile(r'[\s\x00-\x20<>"{}|^`\\]')
 _NOT_BLANK_LABEL = re.compile(r"[\s:]")
 
@@ -60,8 +62,9 @@ class Iri(_Value):
     def __init__(self, value: str):
         if not value:
             raise GraphError("empty IRI")
-        if _NOT_IRI_TEXT.search(value):
-            raise GraphError(f"invalid IRI: {value!r}")
+        if not _IRI.fullmatch(value):
+            kind = "invalid" if _NOT_IRI_TEXT.search(value) else "relative"
+            raise GraphError(f"{kind} IRI: {value!r}")
         _set(self, "value", value)
 
     def __eq__(self, other):
@@ -162,10 +165,6 @@ def term_sort_key(term: Term) -> tuple:
     return (2, term.lexical, term.datatype.value, term.lang or "")
 
 
-def triple_sort_key(t: Triple) -> tuple:
-    return (term_sort_key(t.s), term_sort_key(t.p), term_sort_key(t.o))
-
-
 # The str.translate table of escape_literal: the five characters with an
 # ECHAR form take it, every other code point below U+0020 takes \uXXXX.
 _LITERAL_ESCAPES = {point: f"\\u{point:04X}" for point in range(0x20)}
@@ -195,35 +194,96 @@ def format_term(term: Term) -> str:
     raise GraphError(f"not a term: {term!r}")
 
 
-def format_triple(t: Triple) -> str:
-    return f"{format_term(t.s)} {format_term(t.p)} {format_term(t.o)} ."
+_ESCAPES = {
+    "t": "\t",
+    "b": "\b",
+    "n": "\n",
+    "r": "\r",
+    "f": "\f",
+    '"': '"',
+    "'": "'",
+    "\\": "\\",
+}
+_HEX = re.compile(r"[0-9A-Fa-f]*")
+
+
+def _unescape(raw: str, what: str, escapes: dict = _ESCAPES) -> str:
+    """Decode the N-Triples backslash escapes of an IRI or literal body."""
+    out = []
+    done = 0
+    i = raw.find("\\")
+    while i != -1:
+        out.append(raw[done:i])
+        code = raw[i + 1 : i + 2]
+        if not code:
+            raise GraphError(f"dangling escape in {what}")
+        if code in escapes:
+            out.append(escapes[code])
+            done = i + 2
+        elif code in ("u", "U"):
+            width = 4 if code == "u" else 8
+            hexpart = raw[i + 2 : i + 2 + width]
+            if len(hexpart) != width:
+                raise GraphError(f"truncated \\{code} escape in {what}")
+            point = int(hexpart, 16) if _HEX.fullmatch(hexpart) else -1
+            if not 0 <= point <= 0x10FFFF:
+                raise GraphError(f"bad \\{code} escape {hexpart!r} in {what}")
+            if 0xD800 <= point <= 0xDFFF:
+                # A surrogate is no character and cannot be written as UTF-8.
+                raise GraphError(f"surrogate \\{code} escape {hexpart!r} in {what}")
+            out.append(chr(point))
+            done = i + 2 + width
+        else:
+            raise GraphError(f"unknown escape \\{code} in {what}")
+        i = raw.find("\\", done)
+    out.append(raw[done:])
+    return "".join(out)
+
+
+def _term_of(key: str) -> Term:
+    """The term whose N-Triples text (format_term) is the key."""
+    if key[0] == "<":
+        return Iri(key[1:-1])
+    if key[0] == "_":
+        return BlankNode(key[2:])
+    body, _, suffix = key[1:].rpartition('"')
+    lexical = _unescape(body, "literal") if "\\" in body else body
+    if suffix[:1] == "@":
+        return Literal(lexical, lang=suffix[1:])
+    return Literal(lexical, Iri(suffix[3:-1]) if suffix else XSD_STRING)
 
 
 class Graph:
     """Mutable triple set with interned terms and pattern matching on ids.
 
-    Terms are interned to integer ids, and the id triples are the keys of one
-    insertion-ordered dict.  The predicate index maps each predicate id to
-    the triples holding it; match_ids builds it in one pass the first time a
-    pattern binds the predicate, and later adds keep it current.  A graph
-    that is only written never builds it.
+    Terms are interned to integer ids under their keys, and the id triples
+    are the keys of one insertion-ordered dict.  The predicate index maps
+    each predicate id to the triples holding it; match_ids builds it in one
+    pass the first time a pattern binds the predicate, and later adds keep
+    it current.  A graph that is only written never builds it.
     """
 
     def __init__(self):
-        self._terms: list[Term] = []
-        self._ids: dict[Term, int] = {}
+        self._keys: list[str] = []
+        self._ids: dict[str, int] = {}
+        # Key -> term, filled by term(); a key names one term, so copies share it.
+        self._made: dict[str, Term] = {}
         self._triples: dict[tuple[int, int, int], None] = {}
         # Predicate id -> the triples holding it; None until first built.
         self._by_predicate: Optional[dict[int, list]] = None
         self._blank_counter = 0
 
-    def _intern(self, term: Term) -> int:
-        tid = self._ids.get(term)
+    def _intern(self, key: str) -> int:
+        tid = self._ids.get(key)
         if tid is None:
-            tid = len(self._terms)
-            self._terms.append(term)
-            self._ids[term] = tid
+            tid = self._ids[key] = len(self._keys)
+            self._keys.append(key)
         return tid
+
+    def _intern_term(self, term: Term) -> int:
+        key = format_term(term)
+        self._made[key] = term
+        return self._intern(key)
 
     def _add_ids(self, s: int, p: int, o: int) -> bool:
         """Insert an id triple; returns True when it was not present before.
@@ -246,17 +306,16 @@ class Graph:
             raise GraphError(f"predicate must be an IRI: {p!r}")
         if not isinstance(o, (Iri, BlankNode, Literal)):
             raise GraphError(f"object must be a term: {o!r}")
-        self._add_ids(self._intern(s), self._intern(p), self._intern(o))
+        self._add_ids(self._intern_term(s), self._intern_term(p), self._intern_term(o))
         return self
 
     def __len__(self) -> int:
         return len(self._triples)
 
     def __contains__(self, triple: tuple) -> bool:
-        s, p, o = triple
         try:
-            return (self._ids[s], self._ids[p], self._ids[o]) in self._triples
-        except KeyError:
+            return tuple(self._ids[format_term(x)] for x in triple) in self._triples
+        except (KeyError, GraphError):
             return False
 
     def __iter__(self) -> Iterator[Triple]:
@@ -264,7 +323,7 @@ class Graph:
 
     def triples(self) -> list[Triple]:
         """All triples in insertion order."""
-        terms = self._terms
+        terms = list(map(self.term, range(len(self._keys))))
         return [Triple(terms[s], terms[p], terms[o]) for s, p, o in self._triples]
 
     def match(
@@ -273,32 +332,28 @@ class Graph:
         p: Optional[Iri] = None,
         o: Optional[Term] = None,
     ) -> list[Triple]:
-        """Triples matching the pattern (None = wildcard), in term order."""
+        """Triples matching the pattern (None = wildcard), in insertion order."""
         ids = []
         for term in (s, p, o):
-            if term is None:
-                ids.append(WILDCARD)
-            else:
-                tid = self._ids.get(term)
-                if tid is None:
-                    return []
-                ids.append(tid)
-        terms = self._terms
-        found = [
-            Triple(terms[ts], terms[tp], terms[to])
-            for ts, tp, to in self.match_ids(ids[0], ids[1], ids[2])
-        ]
-        found.sort(key=triple_sort_key)
-        return found
+            tid = WILDCARD if term is None else self.term_id(term)
+            if tid is None:
+                return []
+            ids.append(tid)
+        term = self.term
+        return [Triple(term(ts), term(tp), term(to)) for ts, tp, to in self.match_ids(*ids)]
 
     def term_id(self, term: Term) -> Optional[int]:
         """The interned id of a term, or None when the graph has not interned
         it (then no triple holds it)."""
-        return self._ids.get(term)
+        return self._ids.get(format_term(term))
 
     def term(self, tid: int) -> Term:
-        """The term behind an interned id."""
-        return self._terms[tid]
+        """The term behind an interned id, built from its key on first use."""
+        key = self._keys[tid]
+        term = self._made.get(key)
+        if term is None:
+            term = self._made[key] = _term_of(key)
+        return term
 
     def match_ids(self, s: int, p: int, o: int) -> list[tuple[int, int, int]]:
         """Id triples matching the pattern (WILDCARD, -1, = any), unsorted.
@@ -319,23 +374,25 @@ class Graph:
             return list(cands)
         return [t for t in cands if (s == WILDCARD or t[0] == s) and (o == WILDCARD or t[2] == o)]
 
-    def fresh_blank(self) -> BlankNode:
-        """A blank node whose label is unused in this graph: b0, b1, ..."""
+    def _fresh_key(self) -> str:
+        """The key of a blank node unused in this graph: _:b0, _:b1, ..."""
         while True:
-            node = BlankNode(f"b{self._blank_counter}")
+            key = f"_:b{self._blank_counter}"
             self._blank_counter += 1
-            if node not in self._ids:
-                return node
+            if key not in self._ids:
+                return key
 
     def copy(self) -> "Graph":
         """An independent graph with the same terms and triples, in O(n).
 
-        The term list, the id map and the triple dict are copied as they
-        stand; the copy builds its own predicate index when first matched.
+        The key list, the id map and the triple dict are copied as they
+        stand, and the term cache is shared; the copy builds its own
+        predicate index when first matched.
         """
         dup = Graph()
-        dup._terms = list(self._terms)
+        dup._keys = list(self._keys)
         dup._ids = dict(self._ids)
+        dup._made = self._made
         dup._triples = dict(self._triples)
         dup._blank_counter = self._blank_counter
         return dup
@@ -360,10 +417,11 @@ class Graph:
         meets once the later of the two is taken.  Rules only connect
         existing nodes, so the loop terminates.  Only the predicate index is read.
         """
-        rdf_type = self._intern(RDF_TYPE)
+        intern = self._intern_term
+        rdf_type = intern(RDF_TYPE)
         supers: dict[int, list[int]] = {}
         for sub, sup in subclass_pairs:
-            supers.setdefault(self._intern(sub), []).append(self._intern(sup))
+            supers.setdefault(intern(sub), []).append(intern(sup))
         # Per predicate: the chains it starts (p2, inverted, q) and ends
         # (p1, inverted, q), and maps subject -> objects (out_edges) or
         # object -> subjects (in_edges) over the edges taken so far.
@@ -372,7 +430,7 @@ class Graph:
         out_edges: dict[int, defaultdict[int, list[int]]] = {}
         in_edges: dict[int, defaultdict[int, list[int]]] = {}
         for p1, p2, inverted, q in chains:
-            p1, p2, q = self._intern(p1), self._intern(p2), self._intern(q)
+            p1, p2, q = intern(p1), intern(p2), intern(q)
             inverted = bool(inverted)
             first.setdefault(p1, []).append((p2, inverted, q))
             second.setdefault(p2, []).append((p1, inverted, q))

@@ -18,7 +18,7 @@ import re
 import xml.etree.ElementTree as ET
 from typing import NamedTuple, Optional, Union
 
-from .graph import RDF_TYPE, XSD_BOOLEAN, Graph, GraphError, Iri, Literal
+from .graph import RDF_TYPE, XSD_BOOLEAN, Graph, Literal, _NOT_IRI_TEXT, escape_literal, format_term
 from .modsxml import XLINK_NS, XML_NS, ModsDocument, local_name
 from .vocab import VocabularyRegistry
 
@@ -123,7 +123,7 @@ class _Ids(dict):
         self._intern, self._resolve = intern, resolve
 
     def __missing__(self, name: str) -> int:
-        tid = self[name] = self._intern(self._resolve(name))
+        tid = self[name] = self._intern(format_term(self._resolve(name)))
         return tid
 
 
@@ -133,7 +133,8 @@ class _DocumentContext:
     The graph, the registry terms' ids, the organization table and the
     warning list are shared by the document's records; node minting and
     the item are per record (start_record resets them).  Each minted node
-    and literal is interned once, when it is created.
+    and literal is interned once, when it is created, under a key written
+    from checked parts (base, record ID, a fixed kind) or by escape_literal.
     """
 
     def __init__(self, graph, registry):
@@ -143,7 +144,7 @@ class _DocumentContext:
         self.cls = _Ids(self.intern, registry.cls)
         self.prop = _Ids(self.intern, registry.prop)
         self.individual = _Ids(self.intern, registry.individual)
-        self.rdf_type = self.intern(RDF_TYPE)
+        self.rdf_type = self.intern(format_term(RDF_TYPE))
         self.warnings: list[str] = []
         self.org_table: dict[str, int] = {}
 
@@ -156,8 +157,12 @@ class _DocumentContext:
         n = self.counters.get(kind, 0)
         self.counters[kind] = n + 1
         if self.record_id:
-            return self.intern(Iri(f"{self.base_iri}{self.record_id}/{kind}{n}"))
-        return self.intern(self.graph.fresh_blank())
+            return self.intern(f"<{self.base_iri}{self.record_id}/{kind}{n}>")
+        return self.intern(self.graph._fresh_key())
+
+    def literal(self, text: str) -> int:
+        """The id of the plain literal of the text."""
+        return self.intern(f'"{escape_literal(text)}"')
 
     def warn(self, message: str) -> None:
         prefix = f"record {self.record_id}: " if self.record_id else ""
@@ -182,13 +187,13 @@ def _map_attributes(element: ET.Element, owner, table, ctx: _DocumentContext) ->
             continue
         member = row.members.get(value.lower() if row.lower else value)
         if member is not None:
-            target = ctx.individual[member] if isinstance(member, str) else ctx.intern(member)
+            target = ctx.individual[member] if isinstance(member, str) else ctx.intern(format_term(member))
         elif row.mint is not None:
             local = "".join(w[:1].upper() + w[1:] for w in re.findall(r"[0-9A-Za-z]+", value))
             if not local:
                 ctx.warn(f"cannot derive a {row.mint} individual from {value!r}, skipped")
                 continue
-            target = ctx.intern(Iri(ctx.base_iri + local))
+            target = ctx.intern(f"<{ctx.base_iri}{local}>")
             ctx.add(target, ctx.rdf_type, ctx.cls[row.mint])
             ctx.warn(f"minted {row.mint} individual {local!r} for value {value!r}")
         else:
@@ -209,7 +214,7 @@ def map_common_attributes(element: ET.Element, owner, ctx: _DocumentContext, nam
 
     label = attrs.get("displayLabel")
     if label is not None:
-        add(owner, ctx.prop["hasDisplayLabel"], ctx.intern(Literal(label)))
+        add(owner, ctx.prop["hasDisplayLabel"], ctx.literal(label))
 
     element_id = attrs.get("ID")
     if element_id is not None and name_part:
@@ -220,16 +225,16 @@ def map_common_attributes(element: ET.Element, owner, ctx: _DocumentContext, nam
         link = ctx.node("linkAttributes", "LinkAttributes")
         add(owner, ctx.prop["hasLinkAttributes"], link)
         if element_id is not None:
-            add(link, ctx.prop["hasID"], ctx.intern(Literal(element_id)))
+            add(link, ctx.prop["hasID"], ctx.literal(element_id))
         if href is not None:
-            add(link, ctx.prop["hasHref"], ctx.intern(Literal(href)))
+            add(link, ctx.prop["hasHref"], ctx.literal(href))
 
     values = [(prop, attrs[key]) for key, prop in _LANGUAGE_ATTRIBUTES if key in attrs]
     if values:
         lang_node = ctx.node("languageAttributes", "LanguageAttributes")
         add(owner, ctx.prop["hasLanguageAttributes"], lang_node)
         for prop, value in values:
-            add(lang_node, ctx.prop[prop], ctx.intern(Literal(value)))
+            add(lang_node, ctx.prop[prop], ctx.literal(value))
 
 
 def _map_affiliation(text: str, agent, ctx: _DocumentContext) -> None:
@@ -241,7 +246,7 @@ def _map_affiliation(text: str, agent, ctx: _DocumentContext) -> None:
         org_part = ctx.node("namePart", "NamePart")
         add(org, ctx.prop["hasName"], org_name)
         add(org_name, ctx.prop["hasNamePart"], org_part)
-        add(org_part, ctx.prop["hasValue"], ctx.intern(Literal(text)))
+        add(org_part, ctx.prop["hasValue"], ctx.literal(text))
         ctx.org_table[text] = org
     add(agent, ctx.prop["hasAffiliation"], org)
 
@@ -260,7 +265,7 @@ def _map_role(element: ET.Element, agent, name, ctx: _DocumentContext) -> None:
             ctx.warn("empty roleTerm skipped")
             continue
         role = ctx.node("agentRole", "AgentRole")
-        add(role, ctx.prop["hasValue"], ctx.intern(Literal(text)))
+        add(role, ctx.prop["hasValue"], ctx.literal(text))
         add(agent, ctx.prop["assumesAgentRole"], role)
         add(role, ctx.prop["hasRoleUnderName"], name)
         add(ctx.item, ctx.prop["providesAgentRole"], role)
@@ -281,7 +286,7 @@ def map_name(element: ET.Element, ctx: _DocumentContext) -> None:
     if authority is not None:
         info = ctx.node("authorityInfo", "AuthorityInfo")
         add(name, ctx.prop["hasAuthorityInfo"], info)
-        add(info, ctx.prop["hasValue"], ctx.intern(Literal(authority)))
+        add(info, ctx.prop["hasValue"], ctx.literal(authority))
     map_common_attributes(element, name, ctx)
 
     for child in element:
@@ -298,18 +303,18 @@ def map_name(element: ET.Element, ctx: _DocumentContext) -> None:
         elif tag == "namePart":
             part = ctx.node("namePart", "NamePart")
             add(name, ctx.prop["hasNamePart"], part)
-            add(part, ctx.prop["hasValue"], ctx.intern(Literal(text)))
+            add(part, ctx.prop["hasValue"], ctx.literal(text))
             _map_attributes(child, part, NAME_PART_ATTRIBUTES, ctx)
             map_common_attributes(child, part, ctx, name_part=True)
         elif tag == "affiliation":
             _map_affiliation(text, agent, ctx)
         elif tag == "displayForm":
-            add(name, ctx.prop["hasDisplayForm"], ctx.intern(Literal(text)))
+            add(name, ctx.prop["hasDisplayForm"], ctx.literal(text))
         else:
             identifier = ctx.node("nameIdentifier", "NameIdentifier")
             add(identifier, ctx.rdf_type, ctx.cls["Identifier"])
             add(name, ctx.prop["hasNameIdentifier"], identifier)
-            add(identifier, ctx.prop["hasValue"], ctx.intern(Literal(text)))
+            add(identifier, ctx.prop["hasValue"], ctx.literal(text))
             map_common_attributes(child, identifier, ctx)
 
 
@@ -324,7 +329,7 @@ def map_date(element: ET.Element, ctx: _DocumentContext) -> None:
 
     date = ctx.node("dateInfo", "DateInfo")
     add(ctx.item, ctx.prop["hasDateInfo"], date)
-    add(date, ctx.prop["hasValue"], ctx.intern(Literal(text)))
+    add(date, ctx.prop["hasValue"], ctx.literal(text))
     add(date, ctx.prop["isOfType"], ctx.individual[DATE_ELEMENTS[tag]])
 
     attrs_node = ctx.node("dateAttributes", "DateAttributes")
@@ -375,10 +380,9 @@ def map_record(document: ModsDocument, registry: VocabularyRegistry) -> MappingR
             continue
         record_id = record.get("ID", "")
         if record_id:
-            try:
-                Iri(record_id)  # the ID goes verbatim into the node IRIs
-            except GraphError:
-                raise MappingError(f"invalid record ID {record_id!r}") from None
+            # The ID goes verbatim into the node IRIs, after the base.
+            if _NOT_IRI_TEXT.search(record_id):
+                raise MappingError(f"invalid record ID {record_id!r}")
             if record_id in record_ids:
                 raise MappingError(f"duplicate record ID {record_id!r}")
             record_ids[record_id] = None

@@ -5,17 +5,17 @@ Turtle (prefixed, grouped, no sugar beyond predicate and object lists),
 and a JSON validation-report document. One reader: N-Triples, for
 round-trip testing and graph-file inputs.
 
-The Turtle writer works on the graph's id triples and the blank labels of
-the one canonical labelling: each distinct term is formatted once into a
-per-id text table, and "a" stands for rdf:type only as a predicate.
+Both writers join the store's keys, each term's N-Triples text, and the
+blank labels of the one canonical labelling.  The Turtle writer rewrites
+each distinct key once into a per-id text table, with IRIs under a prefix
+where one fits, and "a" stands for rdf:type only as a predicate.
 
-The reader walks each line with one precompiled pattern per term (subject,
-predicate, object with its datatype or language tag, and the line end),
-each matched at the current position. A term without a backslash is used
-as written; only one with an escape goes through the decoder. A cache local
-to one read_ntriples call maps each token's text to its id in the graph, so
-every distinct IRI, blank node and literal is decoded, checked and interned
-once, and each line adds one id triple.
+The reader takes a line of the writer's own shape, "S P O ." with single
+spaces, by one split and one lookup per token in the graph's key dict; a
+token not there yet is interned as it stands when _KEY shows it is a key.
+Every other line goes through the scanner, one precompiled pattern per term
+matched at the current position, which decodes and checks each distinct
+token once through the term classes and alone raises NTriplesError.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from .graph import (
     Graph,
     Iri,
     Literal,
-    escape_literal,
-    format_term,
+    _IRI,
+    _LANGTAG,
+    _unescape,
 )
 from .canonical import _canonical_labels, canonicalize
 from .validate import ValidationReport
@@ -53,23 +54,11 @@ def write_ntriples(graph: Graph) -> str:
     return canonicalize(graph)
 
 
-_ESCAPES = {
-    "t": "\t",
-    "b": "\b",
-    "n": "\n",
-    "r": "\r",
-    "f": "\f",
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-}
-_HEX = re.compile(r"[0-9A-Fa-f]*")
-
-# Term patterns, matched at a position in one line.  An IRI is everything up
-# to the first ">" (its text is checked by Iri); a blank label is a run of
-# _LABEL_CHAR and "." that does not end in "."; a literal body runs to the
-# first '"' not taken by a backslash escape; a language tag is a run of
-# _TAG_CHAR.  Spaces and tabs separate terms.
+# The scanner's term patterns, matched at a position in one line.  An IRI is
+# everything up to the first ">" (its text is checked by Iri); a blank label
+# is a run of _LABEL_CHAR and "." that does not end in "."; a literal body
+# runs to the first '"' not taken by a backslash escape; a language tag is a
+# run of _TAG_CHAR.  Spaces and tabs separate terms.
 _LABEL_CHAR = r"[\w-]"  # str.isalnum(), "_" or "-"
 _TAG_CHAR = r"(?:[^\W_]|-)"  # str.isalnum() or "-"
 _IRI_SRC = r"<[^>]*>"
@@ -83,38 +72,15 @@ _OBJECT = re.compile(
 _END = re.compile(r"[ \t]*\.[ \t]*(?:#|\Z)")
 _SPACES = re.compile(r"[ \t]*")
 
-
-def _unescape(raw: str, what: str, escapes: dict = _ESCAPES) -> str:
-    """Decode the backslash escapes of an IRI or literal body."""
-    out = []
-    done = 0
-    i = raw.find("\\")
-    while i != -1:
-        out.append(raw[done:i])
-        code = raw[i + 1 : i + 2]
-        if not code:
-            raise NTriplesError(f"dangling escape in {what}")
-        if code in escapes:
-            out.append(escapes[code])
-            done = i + 2
-        elif code in ("u", "U"):
-            width = 4 if code == "u" else 8
-            hexpart = raw[i + 2 : i + 2 + width]
-            if len(hexpart) != width:
-                raise NTriplesError(f"truncated \\{code} escape in {what}")
-            point = int(hexpart, 16) if _HEX.fullmatch(hexpart) else -1
-            if not 0 <= point <= 0x10FFFF:
-                raise NTriplesError(f"bad \\{code} escape {hexpart!r} in {what}")
-            if 0xD800 <= point <= 0xDFFF:
-                # A surrogate is no character and cannot be written as UTF-8.
-                raise NTriplesError(f"surrogate \\{code} escape {hexpart!r} in {what}")
-            out.append(chr(point))
-            done = i + 2 + width
-        else:
-            raise NTriplesError(f"unknown escape \\{code} in {what}")
-        i = raw.find("\\", done)
-    out.append(raw[done:])
-    return "".join(out)
+# A key as the split path admits it, matched whole: an IRI with a scheme and
+# Iri's characters (so no escapes), a blank label the scanner reads whole, or
+# a literal body as escape_literal writes it, with a LANGTAG or a datatype
+# other than xsd:string (written without one) and rdf:langString (an error).
+_KEY = re.compile(
+    rf'<{_IRI.pattern}>|_:(?:\.*{_LABEL_CHAR})+|"(?:[^\x00-\x1f"\\]|\\[\\"nrt]|\\u00(?:0[0-8BCEF]|1[0-9A-F]))*"'
+    rf"(?:@{_LANGTAG.pattern}|\^\^(?!<{re.escape(XSD_STRING.value)}>|<{re.escape(RDF_LANGSTRING.value)}>)"
+    rf"<{_IRI.pattern}>)?"
+)
 
 
 def _node(token: str):
@@ -128,15 +94,12 @@ def _node(token: str):
     return BlankNode(token[2:])
 
 
-def _literal(match, datatypes: dict) -> Literal:
-    """The Literal of an _OBJECT match on a literal token; `datatypes` caches
-    each datatype token's Iri."""
+def _literal(match) -> Literal:
+    """The Literal of an _OBJECT match on a literal token."""
     body, datatype, lang = match.group(1, 2, 3)
     lexical = _unescape(body, "literal") if "\\" in body else body
     if datatype is not None:
-        iri = datatypes.get(datatype)
-        if iri is None:
-            iri = datatypes[datatype] = _node(datatype)
+        iri = _node(datatype)
         if iri == RDF_LANGSTRING:
             raise NTriplesError("language string literal requires a language tag")
         return Literal(lexical, iri)
@@ -174,18 +137,37 @@ def read_ntriples(text: str) -> Graph:
     line number on the first syntax error.
     """
     graph = Graph()
-    intern, add = graph._intern, graph._add_ids
-    # Token text -> term id, for every token read so far; each distinct term
-    # is decoded, checked and interned once per call.  The patterns put an
-    # IRI or blank node in subject place and an IRI in predicate place.
+    known, intern, intern_term = graph._ids.get, graph._intern, graph._intern_term
+    triples = graph._triples
+    # The scanner's token text -> term id, so each distinct token is decoded,
+    # checked and interned once; its patterns put an IRI or blank node in
+    # subject place and an IRI in predicate place.
     ids: dict[str, int] = {}
-    datatypes: dict[str, Iri] = {}
     lines = text.split("\n")
     if "\r" in text:
         lines = [line.rstrip("\r") for line in lines]
     line_no = 0
     try:
         for line_no, line in enumerate(lines, start=1):
+            # The split path: every token is a key, known or admitted, and
+            # the subject is no literal and the predicate an IRI.
+            parts = line.split(" ", 2)
+            if len(parts) == 3 and parts[2][-2:] == " .":
+                s, p, o = parts[0], parts[1], parts[2][:-2]
+                subject, predicate, obj = known(s), known(p), known(o)
+                if subject is None and _KEY.fullmatch(s):
+                    subject = intern(s)
+                if predicate is None and _KEY.fullmatch(p):
+                    predicate = intern(p)
+                if obj is None and _KEY.fullmatch(o):
+                    obj = intern(o)
+                if (
+                    subject is not None and predicate is not None and obj is not None
+                    and s[0] != '"' and p[0] == "<"
+                ):
+                    triples[subject, predicate, obj] = None
+                    continue
+
             m = _SUBJECT.match(line)
             if m is None:
                 pos = _SPACES.match(line).end()
@@ -197,7 +179,7 @@ def read_ntriples(text: str) -> Graph:
             token = m.group(1)
             subject = ids.get(token)
             if subject is None:
-                subject = ids[token] = intern(_node(token))
+                subject = ids[token] = intern_term(_node(token))
 
             pos = m.end()
             m = _PREDICATE.match(line, pos)
@@ -206,7 +188,7 @@ def read_ntriples(text: str) -> Graph:
             token = m.group(1)
             predicate = ids.get(token)
             if predicate is None:
-                predicate = ids[token] = intern(_node(token))
+                predicate = ids[token] = intern_term(_node(token))
 
             pos = m.end()
             m = _OBJECT.match(line, pos)
@@ -215,8 +197,7 @@ def read_ntriples(text: str) -> Graph:
             token = m.group()
             obj = ids.get(token)
             if obj is None:
-                term = _node(token) if token[0] != '"' else _literal(m, datatypes)
-                obj = ids[token] = intern(term)
+                obj = ids[token] = intern_term(_node(token) if token[0] != '"' else _literal(m))
 
             pos = m.end()
             if _END.match(line, pos) is None:
@@ -224,7 +205,8 @@ def read_ntriples(text: str) -> Graph:
                 if line[pos : pos + 1] != ".":
                     raise NTriplesError("expected '.' at end of triple")
                 raise NTriplesError("unexpected text after '.'")
-            add(subject, predicate, obj)
+            # A fresh graph has no predicate index to keep current.
+            triples[subject, predicate, obj] = None
     except ValueError as exc:
         raise NTriplesError(f"line {line_no}: {exc}") from exc
     return graph
@@ -234,23 +216,25 @@ def read_ntriples(text: str) -> Graph:
 _LOCAL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 
 
-def _turtle_term(term, prefixes: list[tuple[str, str]], formatted: dict) -> str:
-    """A term as Turtle writes it: an IRI under the first prefix whose local
+def _turtle_term(key: str, prefixes: list[tuple[str, str]], formatted: dict) -> str:
+    """A key as Turtle writes it: an IRI under the first prefix whose local
     name fits _LOCAL_NAME, a typed literal with its datatype's text taken
     from (or added to) `formatted`, anything else as in N-Triples."""
-    if isinstance(term, Iri):
+    if key[0] == "<":
         for prefix, namespace in prefixes:
-            if term.value.startswith(namespace):
-                local = term.value[len(namespace) :]
+            if key.startswith(namespace, 1):
+                local = key[len(namespace) + 1 : -1]
                 if _LOCAL_NAME.fullmatch(local):
                     return f"{prefix}:{local}"
-        return f"<{term.value}>"
-    if isinstance(term, Literal) and term.lang is None and term.datatype != XSD_STRING:
-        datatype = formatted.get(term.datatype)
-        if datatype is None:
-            datatype = formatted[term.datatype] = _turtle_term(term.datatype, prefixes, formatted)
-        return f'"{escape_literal(term.lexical)}"^^{datatype}'
-    return format_term(term)
+        return key
+    # A literal's closing quote is its key's last '"'; ^^<datatype> follows it.
+    head, _, suffix = key.rpartition('"')
+    if key[0] == '"' and suffix[:2] == "^^":
+        text = formatted.get(suffix[2:])
+        if text is None:
+            text = formatted[suffix[2:]] = _turtle_term(suffix[2:], prefixes, formatted)
+        return f'{head}"^^{text}'
+    return key
 
 
 def write_turtle(graph: Graph, registry) -> str:
@@ -272,16 +256,16 @@ def write_turtle(graph: Graph, registry) -> str:
     lines = [f"@prefix {prefix}: <{namespace}> ." for prefix, namespace in prefixes]
 
     labels = _canonical_labels(graph)
-    formatted: dict = {}  # term -> its Turtle text; each is formatted once
+    keys = graph._keys
+    formatted: dict = {}  # key -> its Turtle text; each is formatted once
     text = {}  # term id -> its Turtle text, for every term of a triple
     for x in {x for t in graph._triples for x in t}:
-        term = graph._terms[x]
         if x in labels:
             text[x] = f"_:c{labels[x]}"
-        elif term in formatted:  # a datatype already written
-            text[x] = formatted[term]
+        elif keys[x] in formatted:  # a datatype already written
+            text[x] = formatted[keys[x]]
         else:
-            text[x] = formatted[term] = _turtle_term(term, prefixes, formatted)
+            text[x] = formatted[keys[x]] = _turtle_term(keys[x], prefixes, formatted)
     by_subject: dict[int, dict[int, list[str]]] = {}
     for s, p, o in graph._triples:
         by_subject.setdefault(s, {}).setdefault(p, []).append(text[o])

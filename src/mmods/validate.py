@@ -9,29 +9,29 @@ built once per validate() call (and once per check_constraint() call), holds
 the set of subject ids typed with each class, all built on first use from
 one read of the rdf:type edges; fillers become tests on ids, and edges are
 read unsorted.  Every read is by predicate, so the store builds only its
-(1,) index.  Ids become terms only for the findings, which are sorted at
-the end: by focus, or for edge-level rules by (subject, object).  So the
-order and text of the findings depend on the terms alone, never on
-interning or insertion order.
+predicate index.  Per-edge tests read the term's key, its N-Triples text:
+its leading "<" for an IRI, or a literal's datatype suffix.  Findings take
+their text from keys and their order from terms: by focus, or for edge-level
+rules by (subject, object), never by interning or insertion order.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .axioms import Constraint, ConstraintCatalog, Filler, VocabFiller
 from .graph import (
+    RDF_LANGSTRING,
     RDF_TYPE,
     WILDCARD,
+    XSD_STRING,
     Graph,
     Iri,
-    Literal,
-    Term,
-    Triple,
+    _LANGTAG,
     format_term,
-    format_triple,
     term_sort_key,
 )
 from .inference import materialize
@@ -89,6 +89,7 @@ class _IdView:
         self.registry = registry
         self.id = graph.term_id
         self.term = graph.term
+        self.key = graph._keys.__getitem__
         self._match_ids = graph.match_ids
         self._typed: Optional[dict[int, set[int]]] = None
 
@@ -124,30 +125,28 @@ class _IdView:
             vocab = self.registry.vocabularies[filler.vocabulary]
             members = {self.id(member) for member in vocab.individuals} - {None}
             if not vocab.closed:
-                members.update(
-                    tid for tid in self.typed(vocab.class_iri) if isinstance(self.term(tid), Iri)
-                )
+                members.update(tid for tid in self.typed(vocab.class_iri) if self.key(tid)[0] == "<")
             return members.__contains__
-        datatype, term = filler.datatype.value, self.term
-
-        def literal_of_datatype(tid: int) -> bool:
-            value = term(tid)
-            return isinstance(value, Literal) and value.datatype.value == datatype
-
-        return literal_of_datatype
+        # After a literal's closing quote comes "" for xsd:string, "@tag" for
+        # rdf:langString and "^^<datatype>" for any other datatype.
+        datatype, key = filler.datatype, self.key
+        suffix = "" if datatype == XSD_STRING else re.escape(f"^^<{datatype.value}>")
+        if datatype == RDF_LANGSTRING:
+            suffix = f"@{_LANGTAG.pattern}"
+        literal_of_datatype = re.compile(f'".*"{suffix}', re.DOTALL).fullmatch
+        return lambda tid: literal_of_datatype(key(tid)) is not None
 
     def sort_key(self, tid: int) -> tuple:
         return term_sort_key(self.term(tid))
 
-    def sorted_terms(self, ids) -> list[Term]:
-        return sorted(map(self.term, ids), key=term_sort_key)
+    def sorted_keys(self, ids) -> list[str]:
+        """The ids' keys, in term order."""
+        return [self.key(tid) for tid in sorted(ids, key=self.sort_key)]
 
-    def sorted_pairs(self, pairs) -> list[tuple[Term, Term]]:
-        """(subject, object) id pairs as terms, in (subject, object) key order."""
-        return sorted(
-            ((self.term(s), self.term(o)) for s, o in pairs),
-            key=lambda pair: (term_sort_key(pair[0]), term_sort_key(pair[1])),
-        )
+    def sorted_pairs(self, pairs) -> list[tuple[str, str]]:
+        """(subject, object) id pairs as keys, in (subject, object) term order."""
+        ordered = sorted(pairs, key=lambda pair: (self.sort_key(pair[0]), self.sort_key(pair[1])))
+        return [(self.key(s), self.key(o)) for s, o in ordered]
 
 
 def _filler_text(filler: Filler) -> str:
@@ -158,12 +157,12 @@ def _filler_text(filler: Filler) -> str:
     return f"a literal of datatype {format_term(filler.datatype)}"
 
 
-def _finding(constraint: Constraint, severity: str, focus: Term, detail: str) -> Finding:
+def _finding(constraint: Constraint, severity: str, focus: str, detail: str) -> Finding:
     return Finding(
         code=constraint.code,
         axiom_id=constraint.axiom_id,
         severity=severity,
-        focus=format_term(focus),
+        focus=focus,
         detail=detail,
         message=constraint.message,
     )
@@ -179,10 +178,9 @@ def _existential(view: _IdView, constraint: Constraint, strict: bool) -> list[Fi
             constraint,
             "error",
             x,
-            f"{format_term(x)} has no {format_term(constraint.prop)} edge to "
-            f"{_filler_text(constraint.filler)}",
+            f"{x} has no {format_term(constraint.prop)} edge to {_filler_text(constraint.filler)}",
         )
-        for x in view.sorted_terms(missing)
+        for x in view.sorted_keys(missing)
     ]
 
 
@@ -198,22 +196,22 @@ def _max_one(view: _IdView, constraint: Constraint, strict: bool) -> list[Findin
     in_scope = view.accepts(constraint.scope_class)
     ok = view.accepts(constraint.filler)
     # Triples are distinct, so with the property fixed each group's members are too.
-    groups: dict[Term, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for t in edges:
         focus, other = t[focus_at], t[other_at]
         if focus in shared and in_scope(focus) and ok(other):
-            groups.setdefault(view.term(focus), []).append(other)
+            groups.setdefault(focus, []).append(other)
     what, ends = ("", "objects") if forward else ("incoming ", "subjects")
     out = []
-    for focus in sorted(groups, key=term_sort_key):
+    for focus in sorted(groups, key=view.sort_key):
         others = groups[focus]
         if len(others) > 1:
-            listed = ", ".join(sorted(format_term(view.term(other)) for other in others))
+            listed = ", ".join(sorted(map(view.key, others)))
             detail = (
-                f"{format_term(focus)} has {len(others)} distinct {what}"
+                f"{view.key(focus)} has {len(others)} distinct {what}"
                 f"{format_term(constraint.prop)} {ends}: {listed}"
             )
-            out.append(_finding(constraint, "error", focus, detail))
+            out.append(_finding(constraint, "error", view.key(focus), detail))
     return out
 
 
@@ -229,7 +227,7 @@ def _range_findings(
             constraint,
             severity,
             s,
-            f"object of {format_triple(Triple(s, constraint.prop, o))} "
+            f"object of {s} {format_term(constraint.prop)} {o} . "
             f"is not {_filler_text(constraint.filler)}",
         )
         for s, o in view.sorted_pairs(bad)
@@ -255,10 +253,10 @@ def _inverse_existential(view: _IdView, constraint: Constraint, strict: bool) ->
             constraint,
             "error",
             x,
-            f"{format_term(x)} has no incoming {format_term(constraint.prop)} edge "
+            f"{x} has no incoming {format_term(constraint.prop)} edge "
             f"from a node typed {format_term(constraint.source_class)}",
         )
-        for x in view.sorted_terms(missing)
+        for x in view.sorted_keys(missing)
     ]
 
 
@@ -268,19 +266,19 @@ def _negated_path(view: _IdView, constraint: Constraint, strict: bool) -> list[F
         tails.setdefault(middle, []).append(tail)
     scope = view.typed(constraint.scope_class)
     # focus -> its middle nodes that have a tail
-    hits: dict[Term, list[int]] = {}
+    hits: dict[int, list[int]] = {}
     for x, _, middle in view.edges(constraint.prop):
         if middle in tails and x in scope:
-            hits.setdefault(view.term(x), []).append(middle)
+            hits.setdefault(x, []).append(middle)
     out = []
-    for x in sorted(hits, key=term_sort_key):
+    for x in sorted(hits, key=view.sort_key):
         middle = min(hits[x], key=view.sort_key)
-        tail = view.term(min(tails[middle], key=view.sort_key))
+        tail = view.key(min(tails[middle], key=view.sort_key))
         detail = (
-            f"{format_term(x)} reaches {format_term(tail)} via "
+            f"{view.key(x)} reaches {tail} via "
             f"{format_term(constraint.prop)} then {format_term(constraint.prop2)}"
         )
-        out.append(_finding(constraint, "error", x, detail))
+        out.append(_finding(constraint, "error", view.key(x), detail))
     return out
 
 
@@ -298,8 +296,8 @@ def _scoped_domain(view: _IdView, constraint: Constraint, strict: bool) -> list[
             continue
         seen.add(s)
         detail = (
-            f"{format_term(s)} has a {format_term(constraint.prop)} edge to "
-            f"{format_term(o)} but is not typed {format_term(constraint.required_class)}"
+            f"{s} has a {format_term(constraint.prop)} edge to "
+            f"{o} but is not typed {format_term(constraint.required_class)}"
         )
         out.append(_finding(constraint, "error", s, detail))
     return out

@@ -27,11 +27,18 @@ from mmods.graph import (
     Literal,
     Triple,
     format_term,
-    format_triple,
     term_sort_key,
 )
 from mmods.serialize import NTriplesError
 from mmods.validate import Finding
+
+def format_triple(t):
+    return f"{format_term(t.s)} {format_term(t.p)} {format_term(t.o)} ."
+
+
+def triple_sort_key(t):
+    return (term_sort_key(t.s), term_sort_key(t.p), term_sort_key(t.o))
+
 
 PROPERTY_WEIGHTS = (
     # Constrained properties drawn often so the corpus exercises every rule.
@@ -538,9 +545,14 @@ def read_ntriples_reference(text):
     return graph
 
 # The validator's former term-level kernels, kept as a reference.  They look
-# terms up through Graph.match, which returns term triples in term order,
-# and test types with `in`; the library's kernels work on interned ids and
-# sort only their findings.  Findings must agree field for field, in order.
+# terms up through Graph.match, sorting the term triples it returns into
+# term order, and test types with `in`; the library's kernels work on
+# interned ids and sort only their findings.  Findings must agree field for
+# field, in order.
+
+
+def _match(graph, s=None, p=None, o=None):
+    return sorted(graph.match(s, p, o), key=triple_sort_key)
 
 
 def _typed(graph, cls):
@@ -594,7 +606,7 @@ def _finding(constraint, severity, focus, detail):
 def _check_existential(graph, constraint, registry):
     out = []
     for x in _typed(graph, constraint.scope_class):
-        edges = graph.match(x, constraint.prop, None)
+        edges = _match(graph, x, constraint.prop, None)
         if not any(_filler_ok(graph, registry, constraint.filler, t.o) for t in edges):
             detail = (
                 f"{format_term(x)} has no {format_term(constraint.prop)} edge to "
@@ -606,7 +618,7 @@ def _check_existential(graph, constraint, registry):
 
 def _check_max_one(graph, constraint, registry):
     out = []
-    edges = graph.match(None, constraint.prop, None)
+    edges = _match(graph, None, constraint.prop, None)
     if constraint.direction == "forward":
         groups = {}
         for t in edges:
@@ -648,7 +660,7 @@ def _check_universal_range(graph, constraint, registry, strict):
     out = []
     vocab_filler = isinstance(constraint.filler, VocabFiller)
     severity = "error" if (not vocab_filler or strict) else "warning"
-    for t in graph.match(None, constraint.prop, None):
+    for t in _match(graph, None, constraint.prop, None):
         if not _filler_ok(graph, registry, constraint.filler, t.o):
             detail = f"object of {format_triple(t)} is not {_filler_text(constraint.filler)}"
             out.append(_finding(constraint, severity, t.s, detail))
@@ -658,7 +670,7 @@ def _check_universal_range(graph, constraint, registry, strict):
 def _check_inverse_existential(graph, constraint, registry):
     out = []
     for x in _typed(graph, constraint.scope_class):
-        incoming = graph.match(None, constraint.prop, x)
+        incoming = _match(graph, None, constraint.prop, x)
         if not any(_is_typed(graph, t.s, constraint.source_class) for t in incoming):
             detail = (
                 f"{format_term(x)} has no incoming {format_term(constraint.prop)} edge "
@@ -672,10 +684,10 @@ def _check_negated_path(graph, constraint, registry):
     out = []
     for x in _typed(graph, constraint.scope_class):
         hit = None
-        for step in graph.match(x, constraint.prop, None):
+        for step in _match(graph, x, constraint.prop, None):
             if isinstance(step.o, Literal):
                 continue
-            tails = graph.match(step.o, constraint.prop2, None)
+            tails = _match(graph, step.o, constraint.prop2, None)
             if tails:
                 hit = (step.o, tails[0].o)
                 break
@@ -690,7 +702,7 @@ def _check_negated_path(graph, constraint, registry):
 
 def _check_structural_tautology(graph, constraint, registry):
     out = []
-    for t in graph.match(None, constraint.prop, None):
+    for t in _match(graph, None, constraint.prop, None):
         if constraint.scope_class is not None and not _is_typed(graph, t.s, constraint.scope_class):
             continue
         if not _filler_ok(graph, registry, constraint.filler, t.o):
@@ -702,7 +714,7 @@ def _check_structural_tautology(graph, constraint, registry):
 def _check_scoped_domain(graph, constraint, registry):
     out = []
     seen = set()
-    for t in graph.match(None, constraint.prop, None):
+    for t in _match(graph, None, constraint.prop, None):
         if t.s in seen:
             continue
         if _is_typed(graph, t.o, constraint.filler) and not _is_typed(graph, t.s, constraint.required_class):

@@ -679,6 +679,12 @@ class TestInvalidBaseIri:
         assert done.stderr == "error: invalid base IRI 'a b'\n"
 
     @pytest.mark.parametrize("argv", BASE_IRI_COMMANDS, ids=lambda argv: argv[0])
+    def test_base_without_a_scheme_exits_2(self, argv, capsys):
+        # A relative base would mint relative node IRIs, which N-Triples forbids.
+        code, out, err = run(capsys, *argv, "--base-iri", "foo")
+        assert (code, out, err) == (2, "", "error: invalid base IRI 'foo'\n")
+
+    @pytest.mark.parametrize("argv", BASE_IRI_COMMANDS, ids=lambda argv: argv[0])
     def test_environment_exits_2(self, argv):
         done = fresh_python("-m", "mmods.cli", *argv, env={"MMODS_BASE_IRI": "http://x/>"})
         assert (done.returncode, done.stdout) == (2, "")

@@ -30,16 +30,14 @@ from mmods.graph import (
     Iri,
     Literal,
     Triple,
-    format_triple,
     instances_of,
     term_sort_key,
-    triple_sort_key,
 )
 from mmods.mapping import map_record
 from mmods.modsxml import parse_mods_xml
 from mmods.vocab import VocabularyRegistry
 
-from oracles import canonicalize_exhaustive, naive_materialize
+from oracles import canonicalize_exhaustive, format_triple, naive_materialize, triple_sort_key
 
 # The characters N-Triples IRIREF excludes from IRI text.
 IRIREF_EXCLUDED = [chr(c) for c in range(0x21)] + list('<>"{}|^`\\')
@@ -107,6 +105,15 @@ class TestTerms:
         with pytest.raises(GraphError, match="invalid IRI"):
             Iri(f"urn:a{char}b")
 
+    @pytest.mark.parametrize("text", ["s", "rec1", "/a/b", "#frag", "1a:b", "-a:b", "_:b", "a b:c"])
+    def test_iri_rejects_a_reference_without_a_scheme(self, text):
+        with pytest.raises(GraphError, match="relative IRI|invalid IRI"):
+            Iri(text)
+
+    @pytest.mark.parametrize("text", ["a:", "urn:x", "A1+.-:y", "http://example.org/a"])
+    def test_iri_accepts_any_rfc3987_scheme(self, text):
+        assert Iri(text).value == text
+
     def test_iri_keeps_other_characters(self):
         for text in ("urn:a'b", "urn:%7B", "urn:é/Ⅷ", "urn:\U0001F600", "urn:a\x7f"):
             assert Iri(text).value == text
@@ -145,7 +152,8 @@ class TestTerms:
         assert len({Literal("x"), Literal("x"), Literal("x", XSD_BOOLEAN)}) == 2
 
     def test_iri_and_blank_node_with_one_text_are_two_terms(self):
-        iri, blank = Iri("x"), BlankNode("x")
+        # An IRI needs a scheme, so the blank label takes the IRI's text after it.
+        iri, blank = Iri("urn:x"), BlankNode("x")
         assert iri != blank and blank != iri
         assert not iri == blank
         g = Graph().add(blank, P, iri)
@@ -287,18 +295,18 @@ class TestGraphBasics:
             for p in (None, P, Q):
                 ids = [g.term_id(t) if t is not None else -1 for t in (s, p, None)]
                 got = [Triple(*map(g.term, t)) for t in g.match_ids(*ids)]
-                assert sorted(got, key=triple_sort_key) == g.match(s, p)
+                assert got == g.match(s, p)
 
     def test_fresh_blank_sequence(self):
         g = Graph()
-        labels = [g.fresh_blank().label for _ in range(1000)]
-        assert labels[:3] == ["b0", "b1", "b2"]
+        labels = [g._fresh_key() for _ in range(1000)]
+        assert labels[:3] == ["_:b0", "_:b1", "_:b2"]
         assert len(set(labels)) == 1000
 
     def test_fresh_blank_skips_used_labels(self):
         g = Graph().add(BlankNode("b0"), P, BlankNode("b2"))
-        labels = [g.fresh_blank().label for _ in range(3)]
-        assert labels == ["b1", "b3", "b4"]
+        labels = [g._fresh_key() for _ in range(3)]
+        assert labels == ["_:b1", "_:b3", "_:b4"]
 
 
 class TestMatch:
@@ -314,7 +322,7 @@ class TestMatch:
         for s in patterns:
             for p in [None] + preds:
                 for o in [None, objects[-1], nodes[0]]:
-                    assert g.match(s, p, o) == scan(g, s, p, o)
+                    assert sorted(g.match(s, p, o), key=triple_sort_key) == scan(g, s, p, o)
 
     def test_match_unknown_term_is_empty(self):
         g = Graph().add(A, P, B)
@@ -322,13 +330,13 @@ class TestMatch:
         assert g.match(None, None, Literal("never")) == []
 
     def test_match_results_are_ordered(self):
-        g = Graph()
-        g.add(B, P, A)
-        g.add(A, P, A)
-        g.add(BlankNode("z"), P, A)
-        got = g.match(None, P, None)
-        assert got == sorted(got, key=triple_sort_key)
-        assert got[0].s == A
+        # In insertion order, with or without the predicate index.
+        z = BlankNode("z")
+        g = Graph().add(B, P, A).add(A, Q, A).add(z, P, A).add(A, P, A)
+        assert g.match(None, None, A) == [(B, P, A), (A, Q, A), (z, P, A), (A, P, A)]
+        assert g.match(None, P, A) == [(B, P, A), (z, P, A), (A, P, A)]
+        g.add(B, P, B)
+        assert g.match(None, P) == [(B, P, A), (z, P, A), (A, P, A), (B, P, B)]
 
     def test_full_wildcard_returns_everything(self):
         g = Graph().add(A, P, B).add(B, Q, Literal("v"))
@@ -760,6 +768,24 @@ class TestPrunedSearchMatchesExhaustive:
             relabeled.add(rename.get(s, s), p, rename.get(o, o))
         lines = sorted(format_triple(t) for t in relabeled.triples())
         assert "".join(line + "\n" for line in lines) == canonicalize(g)
+
+
+class _Budget:
+    def spend(self, units):
+        pass
+
+
+def test_orbits_take_in_only_automorphisms_that_fix_the_path_to_depth():
+    # Each automorphism comes with the depth of the search path it fixes; a
+    # node at depth d may merge only the orbits of those found at d or deeper.
+    automorphisms = [(0, {1: 2, 2: 1}), (2, {3: 4, 4: 3}), (1, {5: 6, 6: 5}), (0, {7: 8, 8: 7})]
+    orbits = canonical_module._Orbits()
+    orbits.take_in(automorphisms[:2], 1, _Budget())
+    orbits.take_in(automorphisms, 1, _Budget())
+    assert orbits.seen == 4
+    assert orbits.find(3) == orbits.find(4) and orbits.find(5) == orbits.find(6)
+    assert orbits.find(1) != orbits.find(2) and orbits.find(7) != orbits.find(8)
+    assert orbits.find(3) != orbits.find(5)
 
 
 def collection(records):

@@ -23,6 +23,7 @@ from mmods.graph import (
     Literal,
     RDF_TYPE,
     escape_literal,
+    format_term,
 )
 from mmods.mapping import map_record
 from mmods.modsxml import parse_mods_xml
@@ -220,6 +221,9 @@ class TestReadNTriples:
             ('<urn:s> <urn:p> "\\q"^^<urn:d .', "unknown escape \\q in literal"),
             (f'<urn:s> <urn:p> "x"^^<{RDF_NS}langString> .', "language string literal requires"),
             ("<urn:s> <urn:p> <a b> .", "invalid IRI: 'a b'"),
+            ("<s> <p> <o> .", "relative IRI: 's'"),
+            ("<urn:s> <p> <urn:o> .", "relative IRI: 'p'"),
+            ('<urn:s> <urn:p> "x"^^<d> .', "relative IRI: 'd'"),
             ("<urn:s> <urn:p> <> .", "empty IRI"),
             ("<urn:s> <urn:p> <urn:o> .. ", "unexpected text after '.'"),
         ],
@@ -274,8 +278,13 @@ def _weighted(*choices):
     )
 
 
-_CLEAN_IRI = _text(_WORD * 4 + _UCHARS, min_size=1).map(lambda t: f"<{t}>")
-_ANY_IRI = _text(_WORD + _GOOD_ESCAPES + _BAD_ESCAPES + _ODD, min_size=1).map(lambda t: f"<{t}>")
+# An IRI needs a scheme, so most drawn IRIs take "urn:" and the rest are
+# relative references, an error.
+_SCHEMES = st.sampled_from(["urn:"] * 9 + [""])
+_CLEAN_IRI = st.builds(lambda scheme, t: f"<{scheme}{t}>", _SCHEMES, _text(_WORD * 4 + _UCHARS, min_size=1))
+_ANY_IRI = st.builds(
+    lambda scheme, t: f"<{scheme}{t}>", _SCHEMES, _text(_WORD + _GOOD_ESCAPES + _BAD_ESCAPES + _ODD, min_size=1)
+)
 _IRI = _weighted((_CLEAN_IRI, 7), (_ANY_IRI, 1))
 _BLANK = _text(["a", "b", "0", "é", "٣", "_", "-", "-", ".", "."], min_size=1).map(
     lambda t: "_:" + t
@@ -353,6 +362,134 @@ class TestReaderMatchesReference:
         # Repeats of one line, and its terms reused, go through the term cache.
         text = "\n".join(lines + lines[::-1]) + "\n"
         assert _read_outcome(read_ntriples, text) == _read_outcome(read_ntriples_reference, text)
+
+
+# Tokens for the split path, the writer's own line shape "S P O .": keys as
+# the writer spells them, and near misses that the scanner must read.
+_KEY_TOKENS = [
+    "<urn:a>",
+    "<urn:b/c#d>",
+    "<urn:\u00e9\U0001F600>",
+    "_:c0",
+    "_:a.b-c",
+    '"x"',
+    '"a b ."',
+    '"q\\"\\\\n\\r\\t"',
+    '"\\u0001\\u001F"',
+    '"chat"@fr',
+    '"chat"@en-GB',
+    '"1"^^<urn:d>',
+    f'"t"^^<{XSD_NS}boolean>',
+]
+_NEAR_MISSES = [
+    "<s>",
+    "<urn:a\u3000b>",
+    "<urn:a\x85b>",
+    "<urn:\\u0041>",
+    "_:a.",
+    "_:",
+    '"\\u0041"',
+    '"\\u001f"',
+    '"\\b"',
+    '"a\x01b"',
+    '"a\tb"',
+    '"x"@en-',
+    f'"x"^^<{XSD_NS}string>',
+    f'"x"^^<{RDF_NS}langString>',
+    '"x"^^<d>',
+]
+_SPLIT_LINE = st.builds(
+    lambda s, p, o: f"{s} {p} {o} .",
+    st.sampled_from(_KEY_TOKENS * 3 + _NEAR_MISSES),
+    st.sampled_from(_KEY_TOKENS[:3] * 3 + _KEY_TOKENS + _NEAR_MISSES),
+    st.sampled_from(_KEY_TOKENS * 3 + _NEAR_MISSES),
+)
+
+
+class TestSplitPath:
+    """Lines of the writer's own shape, read by one split and key lookups,
+    against the character scan in oracles.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_SPLIT_LINE, min_size=1, max_size=12))
+    def test_repeated_tokens_in_any_place(self, lines):
+        # A token repeats across lines and places: a literal or blank key
+        # first read as an object may come back as a subject or predicate.
+        text = "\n".join(lines) + "\n"
+        assert _read_outcome(read_ntriples, text) == _read_outcome(read_ntriples_reference, text)
+
+    @pytest.mark.parametrize("token", _KEY_TOKENS + _NEAR_MISSES)
+    def test_keys_and_near_misses_read_as_the_scanner_reads_them(self, token):
+        for line in (f"<urn:s> <urn:p> {token} .", f"{token} <urn:p> <urn:o> .", f"<urn:s> {token} <urn:o> ."):
+            text = f"{line}\n{line}\n<urn:o> <urn:p> {token} .\n"
+            assert _read_outcome(read_ntriples, text) == _read_outcome(read_ntriples_reference, text)
+
+    def test_split_path_takes_the_keys_and_leaves_the_near_misses(self):
+        from mmods.serialize import _KEY
+
+        assert all(_KEY.fullmatch(token) for token in _KEY_TOKENS)
+        assert not any(_KEY.fullmatch(token) for token in _NEAR_MISSES)
+
+    @pytest.mark.parametrize("token", ['"a"', '"a"@en', '"a"^^<urn:d>', "_:b"])
+    def test_key_first_seen_as_object_is_checked_in_its_new_place(self, token):
+        first = f"<urn:s> <urn:p> {token} .\n"
+        for second in (f"{token} <urn:p> <urn:o> .", f"<urn:s> {token} <urn:o> ."):
+            text = first + second + "\n"
+            if second.startswith("_:"):
+                assert _read_outcome(read_ntriples, text) == _read_outcome(read_ntriples_reference, text)
+                continue
+            with pytest.raises(NTriplesError) as err:
+                read_ntriples(text)
+            with pytest.raises(NTriplesError) as reference:
+                read_ntriples_reference(text)
+            assert str(err.value) == str(reference.value)
+            assert str(err.value).startswith("line 2: ")
+
+    @pytest.mark.parametrize("char", ["\u3000", "\x85"], ids=["U+3000", "U+0085"])
+    def test_unicode_space_inside_an_iri_is_an_error(self, char):
+        with pytest.raises(NTriplesError, match="^line 2: invalid IRI"):
+            read_ntriples(f"<urn:s> <urn:p> <urn:o> .\n<urn:s> <urn:p> <urn:a{char}b> .\n")
+
+    @pytest.mark.parametrize("char", ["\x01", "\t"], ids=["U+0001", "tab"])
+    def test_raw_control_character_in_a_literal_reads_as_escaped(self, char):
+        g = read_ntriples(f'<urn:s> <urn:p> "a{char}b" .\n<urn:s> <urn:p> "a{char}b" .\n')
+        assert g.triples() == [(Iri("urn:s"), Iri("urn:p"), Literal(f"a{char}b"))]
+        assert write_ntriples(g) == f'<urn:s> <urn:p> "a{escape_literal(char)}b" .\n'
+
+    def test_xsd_string_datatype_reads_as_the_plain_literal(self):
+        g = read_ntriples(f'<urn:s> <urn:p> "x"^^<{XSD_NS}string> .\n<urn:s> <urn:p> "x" .\n')
+        assert g.triples() == [(Iri("urn:s"), Iri("urn:p"), Literal("x"))]
+
+    def test_lang_string_datatype_is_an_error(self):
+        with pytest.raises(NTriplesError, match="^line 2: language string literal requires"):
+            read_ntriples(f'<urn:s> <urn:p> "x" .\n<urn:s> <urn:p> "x"^^<{RDF_NS}langString> .\n')
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_error_after_split_path_lines_names_its_line(self, n):
+        good = [f'<urn:s{i}> <urn:p> "v{i}"@en .' for i in range(n - 1)]
+        text = "\n".join(good + ['<urn:s> <urn:p> "v"@en- .', "<urn:s> <urn:p> <urn:o> ."]) + "\n"
+        with pytest.raises(NTriplesError, match=f"^line {n}: invalid language tag"):
+            read_ntriples(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_IRI, _BLANK, _LITERAL))
+    def test_split_pattern_admits_exactly_the_keys(self, token):
+        # A token is admitted in a place iff the scanner reads it there as
+        # the term whose key is the token itself: a key, with a node's first
+        # character in subject place and an IRI's in predicate place.
+        from mmods.serialize import _KEY
+
+        for line, place, first in (
+            (f"{token} <urn:p> <urn:o> .", 0, "<_"),
+            (f"<urn:s> {token} <urn:o> .", 1, "<"),
+            (f"<urn:s> <urn:p> {token} .", 2, '<_"'),
+        ):
+            try:
+                key = format_term(read_ntriples_reference(line).triples()[0][place])
+            except NTriplesError:
+                key = None
+            admitted = bool(_KEY.fullmatch(token)) and token[0] in first
+            assert admitted == (key == token), (line, key)
 
 
 def test_whitespace_pattern_is_isspace():
@@ -530,6 +667,8 @@ _TTL_BLANKS = [BlankNode(f"b{i}") for i in range(3)]
 _TTL_LEXICAL = _text(
     ["a", " ", "\\", '"', "'", "\n", "\r", "\t", "\x00", "\x08", "\x1f", "\x7f"]
     + ["\u00e9", "\u2028", "\U0001F600", ",", ";", ".", "#", "^", "@", "<", ">"]
+    # A body that spells a datatype or language suffix after an inner quote.
+    + [f'"^^<{_BASE}Agent', '"^^<urn:d>', '"@en']
 )
 _TTL_LITERAL = st.one_of(
     st.builds(Literal, _TTL_LEXICAL),
@@ -568,6 +707,12 @@ class TestWriteTurtle:
             rename = {b: BlankNode(f"{b.label}_{copy}") for b in _TTL_BLANKS}
             for s, p, o in triples:
                 g.add(rename.get(s, s), p, rename.get(o, o))
+        assert canonicalize(read_turtle(write_turtle(g, reg))) == write_ntriples(g)
+
+    @pytest.mark.parametrize("body", ['"^^<{}Agent', '"^^<{}Agent>', '"@en', 'x"^^'])
+    def test_literal_spelling_a_suffix_inside_its_quotes(self, reg, body):
+        g = Graph().add(Iri("urn:s"), Iri("urn:p"), Literal(body.format(reg.base_iri)))
+        g.add(Iri("urn:s"), Iri("urn:p"), Literal("1", reg.cls("Agent")))
         assert canonicalize(read_turtle(write_turtle(g, reg))) == write_ntriples(g)
 
     def test_empty_graph_header_only(self, reg):
@@ -641,9 +786,9 @@ class TestWriteTurtle:
         calls = []
         real = mmods.serialize._turtle_term
 
-        def counting(term, *rest):
-            calls.append(term)
-            return real(term, *rest)
+        def counting(key, *rest):
+            calls.append(key)
+            return real(key, *rest)
 
         monkeypatch.setattr(mmods.serialize, "_turtle_term", counting)
         g = fixture_graph("dates.xml", reg)
@@ -656,7 +801,7 @@ class TestWriteTurtle:
             for term in terms
             if isinstance(term, Literal) and term.lang is None and term.datatype != XSD_STRING
         }
-        assert sorted(calls, key=repr) == sorted(terms, key=repr)
+        assert sorted(calls) == sorted(map(format_term, terms))
 
     def test_local_name_pattern_accepts_what_the_character_rule_did(self):
         from mmods.serialize import _LOCAL_NAME

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from mmods.axioms import catalog
-from mmods.graph import RDF_TYPE, XSD_BOOLEAN, Graph, Iri, Literal
-from mmods.validate import check_constraint, validate
+from mmods.axioms import DatatypeFiller, catalog
+from mmods.graph import RDF_LANGSTRING, RDF_TYPE, XSD_BOOLEAN, XSD_STRING, BlankNode, Graph, Iri, Literal
+from mmods.validate import _IdView, check_constraint, validate
 from mmods.vocab import VocabularyRegistry
 
 
@@ -327,3 +327,28 @@ class TestValidate:
         g.add(node(1), reg.prop("hasLinkAttributes"), node(3))
         got = codes(validate(g, cat, reg, infer=False))
         assert got == ["E_ELEMENTINFO_10", "E_ORGANIZATION_18"]
+
+
+@pytest.mark.parametrize(
+    "datatype",
+    [XSD_STRING, XSD_BOOLEAN, RDF_LANGSTRING, Iri("urn:d")],
+    ids=["string", "boolean", "langString", "other"],
+)
+def test_datatype_filler_reads_the_key_as_the_term_would(datatype, reg):
+    # The test on ids reads a literal's key after its closing quote; bodies
+    # that spell a suffix inside the quotes must not fool it.
+    objects = [
+        Iri("urn:o"),
+        BlankNode("b"),
+        *(
+            Literal(lexical, *rest)
+            for lexical in ("x", 'a"@en', 'a"^^<urn:d>', "\\", "line\nbreak", "")
+            for rest in ((), (XSD_BOOLEAN,), (Iri("urn:d"),), (XSD_STRING, "en-GB"))
+        ),
+    ]
+    g = Graph()
+    for o in objects:
+        g.add(Iri("urn:s"), Iri("urn:p"), o)
+    accepts = _IdView(g, reg).accepts(DatatypeFiller(datatype))
+    for o in objects:
+        assert accepts(g.term_id(o)) == (isinstance(o, Literal) and o.datatype == datatype), o
