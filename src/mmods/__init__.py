@@ -22,7 +22,6 @@ from .graph import (
     Triple,
     instances_of,
 )
-from .inference import materialize
 from .mapping import MappingError, MappingResult, map_record
 from .modsxml import (
     ModsDocument,
@@ -38,7 +37,7 @@ from .serialize import (
     write_report_text,
     write_turtle,
 )
-from .validate import Finding, ValidationReport, check_constraint, validate
+from .validate import Finding, ValidationReport, check_constraint, materialize, validate
 from .vocab import (
     DEFAULT_BASE_IRI,
     ControlledVocabulary,

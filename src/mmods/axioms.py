@@ -28,18 +28,6 @@ class DatatypeFiller(NamedTuple):
 
 Filler = Union[Iri, VocabFiller, DatatypeFiller]
 
-KINDS = (
-    "subclass_of",
-    "existential",
-    "max_one",
-    "universal_range",
-    "inverse_existential",
-    "negated_path",
-    "structural_tautology",
-    "role_chain",
-    "scoped_domain",
-)
-
 
 class Constraint(NamedTuple):
     """One rule; unused fields stay None depending on the kind.
@@ -72,16 +60,6 @@ class ConstraintCatalog(tuple):
     """The constraints, in catalog order; iterating or indexing it yields them."""
 
     __slots__ = ()
-
-    @property
-    def constraints(self) -> tuple[Constraint, ...]:
-        return tuple(self)
-
-    def by_code(self, code: str) -> Constraint:
-        for constraint in self:
-            if constraint.code == code:
-                return constraint
-        raise KeyError(code)
 
     def subclass_pairs(self) -> list[tuple[Iri, Iri]]:
         """(sub, sup) facts feeding instance closure; the scope-free

@@ -32,7 +32,7 @@ from .serialize import (
     write_turtle,
 )
 from .validate import validate
-from .vocab import DEFAULT_BASE_IRI, VocabularyError, VocabularyRegistry
+from .vocab import DEFAULT_BASE_IRI, VocabularyError, VocabularyRegistry, emit_ontology
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -200,8 +200,6 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_emit_ontology(args) -> int:
-    from .vocab import emit_ontology
-
     registry = _registry(args)
     rules = catalog(registry)
     graph = emit_ontology(registry, rules)
@@ -215,12 +213,12 @@ def _cmd_vocab(args) -> int:
         vocab = registry.vocabularies.get(args.name)
         if vocab is None:
             raise _CliError(EXIT_UNKNOWN_NAME, f"unknown vocabulary: {args.name!r}")
-        lines = list(vocab.local_names())
+        lines = list(vocab.member_names)
     else:
         lines = [
             f"{vocab.name}\t{member}"
             for vocab in registry.vocabularies.values()
-            for member in vocab.local_names()
+            for member in vocab.member_names
         ]
     _write_output("\n".join(lines) + ("\n" if lines else ""), args.out)
     return EXIT_OK

@@ -111,7 +111,6 @@ XSD_BOOLEAN = Iri(XSD_NS + "boolean")
 OWL_CLASS = Iri(OWL_NS + "Class")
 OWL_OBJECT_PROPERTY = Iri(OWL_NS + "ObjectProperty")
 OWL_DATATYPE_PROPERTY = Iri(OWL_NS + "DatatypeProperty")
-OWL_NAMED_INDIVIDUAL = Iri(OWL_NS + "NamedIndividual")
 OWL_ONTOLOGY = Iri(OWL_NS + "Ontology")
 
 
@@ -469,15 +468,7 @@ class Graph:
 
 def instances_of(graph: Graph, class_iri: Iri, catalog=None) -> list[Node]:
     """Subjects typed as the class or, given a catalog, any of its subclasses."""
-    classes = {class_iri}
     if catalog is not None:
-        pairs = list(catalog.subclass_pairs())
-        changed = True
-        while changed:
-            changed = False
-            for sub, sup in pairs:
-                if sup in classes and sub not in classes:
-                    classes.add(sub)
-                    changed = True
-    found = {t.s for cls in classes for t in graph.match(None, RDF_TYPE, cls)}
-    return sorted(found, key=term_sort_key)
+        graph = graph.copy()
+        graph.apply_rules((), catalog.subclass_pairs())
+    return sorted({t.s for t in graph.match(None, RDF_TYPE, class_iri)}, key=term_sort_key)

@@ -140,6 +140,7 @@ class _DocumentContext:
     def __init__(self, graph, registry):
         self.graph = graph
         self.intern, self.add = graph._intern, graph._add_ids
+        self.registry = registry
         self.base_iri = registry.base_iri
         self.cls = _Ids(self.intern, registry.cls)
         self.prop = _Ids(self.intern, registry.prop)
@@ -179,7 +180,11 @@ def _map_attributes(element: ET.Element, owner, table, ctx: _DocumentContext) ->
 
     An unlisted value of an open vocabulary mints an individual named by the
     value's words in upper camel case, typed as the vocabulary class so
-    membership checks accept it; a warning records the extension.
+    membership checks accept it; a warning records the extension.  A name
+    that is already one of the vocabulary's members maps to that member;
+    any other name the registry holds (a class, a property or another
+    vocabulary's member) is warned about and skipped, so no minted
+    individual lands on a vocabulary term's IRI.
     """
     for row in table:
         value = element.get(row.key)
@@ -193,9 +198,23 @@ def _map_attributes(element: ET.Element, owner, table, ctx: _DocumentContext) ->
             if not local:
                 ctx.warn(f"cannot derive a {row.mint} individual from {value!r}, skipped")
                 continue
-            target = ctx.intern(f"<{ctx.base_iri}{local}>")
-            ctx.add(target, ctx.rdf_type, ctx.cls[row.mint])
-            ctx.warn(f"minted {row.mint} individual {local!r} for value {value!r}")
+            registry = ctx.registry
+            if local in registry.vocabularies[row.mint].member_names:
+                target = ctx.individual[local]
+            elif (
+                local in registry.classes
+                or local in registry.properties
+                or any(local in vocab.member_names for vocab in registry.vocabularies.values())
+            ):
+                ctx.warn(
+                    f"cannot mint a {row.mint} individual from {value!r}: "
+                    f"{local!r} is a vocabulary term, skipped"
+                )
+                continue
+            else:
+                target = ctx.intern(f"<{ctx.base_iri}{local}>")
+                ctx.add(target, ctx.rdf_type, ctx.cls[row.mint])
+                ctx.warn(f"minted {row.mint} individual {local!r} for value {value!r}")
         else:
             ctx.warn(row.warn.format(value))
             continue

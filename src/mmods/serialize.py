@@ -289,11 +289,7 @@ def report_to_document(report: ValidationReport) -> dict:
     return {
         "version": REPORT_VERSION,
         "source": report.source,
-        "summary": {
-            "errors": report.errors,
-            "warnings": report.warnings,
-            "infos": report.infos,
-        },
+        "summary": report.summary(),
         "findings": [
             {
                 "code": f.code,

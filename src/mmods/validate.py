@@ -1,8 +1,10 @@
-"""Closed-world constraint checking over explicit graphs.
+"""Materialization of inferred triples, and closed-world constraint checking.
 
-Each constraint is read as an integrity check on the triples actually
-present (optionally after materializing inferred triples), not as open-world
-entailment: a required edge that is absent is a violation.
+materialize applies the catalog's chain rules and subclass facts to a copy
+of a graph until nothing new follows.  Each constraint is read as an
+integrity check on the triples actually present (by default after
+materializing), not as open-world entailment: a required edge that is
+absent is a violation.
 
 The kernels run on the store's interned integer ids.  A view of the graph,
 built once per validate() call (and once per check_constraint() call), holds
@@ -34,7 +36,6 @@ from .graph import (
     format_term,
     term_sort_key,
 )
-from .inference import materialize
 from .vocab import VocabularyRegistry
 
 
@@ -332,6 +333,15 @@ def check_constraint(
 ) -> list[Finding]:
     """Findings for one constraint, in deterministic focus order."""
     return _check(_IdView(graph, registry), constraint, strict)
+
+
+def materialize(graph: Graph, catalog: ConstraintCatalog) -> Graph:
+    """A new graph extended with every triple the catalog's chain rules and
+    subclass facts imply, to the least fixpoint: a superset of the input,
+    and idempotent."""
+    result = graph.copy()
+    result.apply_rules(catalog.chains(), catalog.subclass_pairs())
+    return result
 
 
 def validate(

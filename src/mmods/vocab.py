@@ -1,13 +1,14 @@
 """Vocabulary registry: the single source of truth for graph identifiers.
 
-Holds the class table, property table, controlled vocabularies, and module
-name list, all minted under one configurable base IRI, plus the emitter that
-writes the vocabulary's own declaration graph.
+Holds the class table, the property table and the controlled vocabularies,
+all minted under one configurable base IRI; cls, prop and individual look
+names up, each in its own table.  emit_ontology writes the vocabulary's own
+declaration graph, with one annotation per name in MODULE_NAMES.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .graph import (
     OWL_CLASS,
@@ -88,38 +89,14 @@ DATA_PROPERTY_NAMES = (
     "hasTransliteration",
 )
 
-# (vocabulary name, member local names, closed?, description)
+# (vocabulary name, member local names, closed?); an open vocabulary takes
+# further members, which the mapper mints.
 _VOCABULARIES = (
-    (
-        "NameType",
-        ("Personal", "Corporate", "Conference", "Family"),
-        True,
-        "The four kinds of named entity a name can denote.",
-    ),
-    (
-        "NamePartType",
-        ("FirstName", "MiddleName", "LastName"),
-        True,
-        "Which part of a full name a name part carries.",
-    ),
-    (
-        "Usage",
-        ("Primary",),
-        True,
-        "Marks one name instance as the primary one.",
-    ),
-    (
-        "Qualifier",
-        ("Approximate", "Inferred", "Questionable"),
-        True,
-        "How certain a recorded date is.",
-    ),
-    (
-        "DateEncoding",
-        ("W3cdtf", "Iso8601"),
-        False,
-        "Encoding scheme of a date value; further schemes may be added.",
-    ),
+    ("NameType", ("Personal", "Corporate", "Conference", "Family"), True),
+    ("NamePartType", ("FirstName", "MiddleName", "LastName"), True),
+    ("Usage", ("Primary",), True),
+    ("Qualifier", ("Approximate", "Inferred", "Questionable"), True),
+    ("DateEncoding", ("W3cdtf", "Iso8601"), False),
     (
         "DateInfoType",
         (
@@ -132,20 +109,9 @@ _VOCABULARIES = (
             "CopyrightDate",
         ),
         False,
-        "Which kind of event a date records; further kinds may be added.",
     ),
-    (
-        "Point",
-        ("Start", "End"),
-        True,
-        "Whether a date marks the start or the end of a range.",
-    ),
-    (
-        "Calendar",
-        (),
-        False,
-        "Alternative calendar systems; empty but extensible.",
-    ),
+    ("Point", ("Start", "End"), True),
+    ("Calendar", (), False),
 )
 
 MODULE_NAMES = (
@@ -186,19 +152,17 @@ class ControlledVocabulary(NamedTuple):
     individuals: tuple[Iri, ...]
     member_names: tuple[str, ...]
     closed: bool
-    description: str
-
-    def local_names(self) -> tuple[str, ...]:
-        return self.member_names
 
 
-def _suggest(name: str, candidates) -> str:
-    import difflib  # only error messages need it; it is slow to import
+def _lookup(table: dict, kind: str, name: str) -> Iri:
+    iri = table.get(name)
+    if iri is None:
+        import difflib  # only error messages need it; it is slow to import
 
-    close = difflib.get_close_matches(name, list(candidates), n=3)
-    if close:
-        return "; nearest: " + ", ".join(close)
-    return ""
+        close = difflib.get_close_matches(name, list(table), n=3)
+        nearest = "; nearest: " + ", ".join(close) if close else ""
+        raise VocabularyError(f"unknown {kind} name: {name!r}{nearest}")
+    return iri
 
 
 class VocabularyRegistry:
@@ -224,82 +188,27 @@ class VocabularyRegistry:
                 name=name,
                 class_iri=self.classes[name],
                 individuals=tuple(Iri(base_iri + member) for member in members),
-                member_names=tuple(members),
+                member_names=members,
                 closed=closed,
-                description=description,
             )
-            for name, members, closed, description in _VOCABULARIES
+            for name, members, closed in _VOCABULARIES
         }
-        self.modules: tuple[str, ...] = MODULE_NAMES
         self._individuals: dict[str, Iri] = {}
         for vocab in self.vocabularies.values():
-            for local, iri in zip(vocab.local_names(), vocab.individuals):
-                self._individuals[local] = iri
+            self._individuals.update(zip(vocab.member_names, vocab.individuals))
 
     @property
     def base_iri(self) -> str:
         return self._base
 
-    def resolve(self, kind: str, name: str) -> Iri:
-        """Look up a registered name of the given kind as an absolute IRI."""
-        if kind == "class":
-            table = self.classes
-        elif kind == "property":
-            table = self.properties
-        elif kind == "vocabIndividual":
-            table = self._individuals
-        else:
-            raise VocabularyError(f"unknown kind: {kind!r}")
-        iri = table.get(name)
-        if iri is None:
-            raise VocabularyError(f"unknown {kind} name: {name!r}{_suggest(name, table)}")
-        return iri
-
-    def vocabulary_values(self, vocab_name: str) -> list[Iri]:
-        """The full, ordered individual list of one controlled vocabulary."""
-        vocab = self.vocabularies.get(vocab_name)
-        if vocab is None:
-            raise VocabularyError(
-                f"unknown vocabulary: {vocab_name!r}{_suggest(vocab_name, self.vocabularies)}"
-            )
-        return list(vocab.individuals)
-
     def cls(self, name: str) -> Iri:
-        return self.resolve("class", name)
+        return _lookup(self.classes, "class", name)
 
     def prop(self, name: str) -> Iri:
-        return self.resolve("property", name)
+        return _lookup(self.properties, "property", name)
 
     def individual(self, name: str) -> Iri:
-        return self.resolve("vocabIndividual", name)
-
-    def vocabulary_of(self, term: Iri) -> Optional[ControlledVocabulary]:
-        """The vocabulary that predefines the given individual, if any."""
-        for vocab in self.vocabularies.values():
-            if term in vocab.individuals:
-                return vocab
-        return None
-
-    def to_json(self) -> dict:
-        """Name-to-IRI maps for documentation tooling."""
-        return {
-            "baseIri": self._base,
-            "classes": {name: iri.value for name, iri in self.classes.items()},
-            "properties": {name: iri.value for name, iri in self.properties.items()},
-            "vocabularies": {
-                name: {
-                    "class": vocab.class_iri.value,
-                    "closed": vocab.closed,
-                    "description": vocab.description,
-                    "individuals": {
-                        local: iri.value
-                        for local, iri in zip(vocab.local_names(), vocab.individuals)
-                    },
-                }
-                for name, vocab in self.vocabularies.items()
-            },
-            "modules": list(self.modules),
-        }
+        return _lookup(self._individuals, "vocabIndividual", name)
 
 
 def emit_ontology(registry: VocabularyRegistry, catalog) -> Graph:
@@ -314,7 +223,7 @@ def emit_ontology(registry: VocabularyRegistry, catalog) -> Graph:
     ontology_node = Iri(registry.base_iri.rstrip("/#"))
     g.add(ontology_node, RDF_TYPE, OWL_ONTOLOGY)
     has_module = Iri(registry.base_iri + "hasModule")
-    for module_name in registry.modules:
+    for module_name in MODULE_NAMES:
         g.add(ontology_node, has_module, Literal(module_name))
     for iri in registry.classes.values():
         g.add(iri, RDF_TYPE, OWL_CLASS)

@@ -74,11 +74,6 @@ class TestCatalogShape:
         second = [c.code for c in catalog(reg)]
         assert first == second
 
-    def test_by_code_lookup(self, cat):
-        assert cat.by_code("E_NAME_20").axiom_id == "20"
-        with pytest.raises(KeyError):
-            cat.by_code("E_NAME_99")
-
 
 class TestKeyEntries:
     def test_agent_must_have_name(self, cat, reg):

@@ -15,7 +15,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmods.canonical as canonical_module
@@ -403,10 +403,18 @@ def test_store_against_a_model_across_copies(ops):
             assert sorted(indexed) == sorted(g._triples)
 
 
+class _PairCatalog:
+    """A catalog reduced to what instances_of reads: its subclass pairs."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def subclass_pairs(self):
+        return list(self.pairs)
+
+
 class TestInstancesOf:
-    class Catalog:
-        def subclass_pairs(self):
-            return [(Iri("urn:Sub"), Iri("urn:Sup")), (Iri("urn:SubSub"), Iri("urn:Sub"))]
+    CATALOG = _PairCatalog([(Iri("urn:Sub"), Iri("urn:Sup")), (Iri("urn:SubSub"), Iri("urn:Sub"))])
 
     def test_direct_instances(self):
         g = Graph().add(A, RDF_TYPE, Iri("urn:Sup")).add(B, RDF_TYPE, Iri("urn:Other"))
@@ -416,9 +424,48 @@ class TestInstancesOf:
         g = Graph()
         g.add(A, RDF_TYPE, Iri("urn:SubSub"))
         g.add(B, RDF_TYPE, Iri("urn:Sup"))
-        got = instances_of(g, Iri("urn:Sup"), self.Catalog())
+        got = instances_of(g, Iri("urn:Sup"), self.CATALOG)
         assert got == sorted([A, B], key=term_sort_key)
-        assert instances_of(g, Iri("urn:Sub"), self.Catalog()) == [A]
+        assert instances_of(g, Iri("urn:Sub"), self.CATALOG) == [A]
+
+
+_CLASSES = [Iri(f"urn:K{i}") for i in range(5)]
+_TYPED_NODES = [A, B, Iri("urn:c"), BlankNode("x"), BlankNode("y")]
+_TYPED_GRAPHS = st.lists(
+    st.tuples(
+        st.sampled_from(_TYPED_NODES),
+        st.sampled_from([RDF_TYPE, P]),
+        st.sampled_from(_CLASSES + _TYPED_NODES),
+    ),
+    max_size=20,
+)
+_CHAIN = [(_CLASSES[i], _CLASSES[i + 1]) for i in range(4)]
+
+
+# Pairs drawn from five classes give chains up to four deep, cycles and
+# self-pairs; the examples pin one of each.
+@settings(max_examples=300, deadline=None)
+@given(
+    _TYPED_GRAPHS,
+    st.lists(st.tuples(*[st.sampled_from(_CLASSES)] * 2), max_size=8),
+    st.sampled_from(_CLASSES),
+)
+@example([(A, RDF_TYPE, _CLASSES[0]), (B, RDF_TYPE, _CLASSES[2])], _CHAIN, _CLASSES[4])
+@example([(A, RDF_TYPE, _CLASSES[1])], _CHAIN[:3] + [(_CLASSES[3], _CLASSES[0])], _CLASSES[2])
+@example([(A, RDF_TYPE, _CLASSES[1]), (B, P, _CLASSES[1])], [(_CLASSES[1], _CLASSES[1])], _CLASSES[1])
+def test_instances_of_agrees_with_a_naive_closure(triples, pairs, cls):
+    g = Graph()
+    for t in triples:
+        g.add(*t)
+    before = g.triples()
+    closed = naive_materialize(g, subclass_pairs=pairs)
+    want = {t.s for t in closed.triples() if t.p == RDF_TYPE and t.o == cls}
+    got = instances_of(g, cls, _PairCatalog(pairs))
+    assert got == sorted(want, key=term_sort_key)
+    assert instances_of(g, cls) == sorted(
+        {t.s for t in before if t.p == RDF_TYPE and t.o == cls}, key=term_sort_key
+    )
+    assert g.triples() == before
 
 
 class TestApplyRules:

@@ -5,7 +5,7 @@ import pytest
 from mmods.axioms import catalog
 from mmods.canonical import canonicalize
 from mmods.graph import RDF_TYPE, Graph, Iri
-from mmods.inference import materialize
+from mmods.validate import materialize
 from mmods.vocab import VocabularyRegistry
 
 from oracles import naive_materialize, random_vocab_graph

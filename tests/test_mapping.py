@@ -7,10 +7,9 @@ import pytest
 from mmods.axioms import catalog
 from mmods.canonical import canonicalize
 from mmods.graph import RDF_TYPE, XSD_BOOLEAN, BlankNode, Iri, Literal, instances_of
-from mmods.inference import materialize
 from mmods.mapping import MappingError, map_record
 from mmods.modsxml import parse_mods_xml
-from mmods.validate import validate
+from mmods.validate import materialize, validate
 from mmods.vocab import VocabularyRegistry
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -321,6 +320,39 @@ class TestDates:
         assert result.graph.match(None, reg.prop("hasAlternativeCalendar"), minted)
         assert result.graph.match(minted, RDF_TYPE, reg.cls("Calendar"))
         assert any("Julian" in w for w in result.warnings)
+
+    @pytest.mark.parametrize(
+        "attrs, taken",
+        [
+            ('calendar="agent"', "Agent"),
+            ('encoding="name part"', "NamePart"),
+            ('calendar="personal"', "Personal"),
+            ('encoding="start"', "Start"),
+            ('calendar="iso 8601"', "Iso8601"),
+        ],
+    )
+    def test_value_naming_a_vocabulary_term_is_not_minted(self, reg, attrs, taken):
+        result = convert(f'<mods ID="r1"><dateCreated {attrs}>2001</dateCreated></mods>', reg)
+        term = Iri(reg.base_iri + taken)
+        assert not result.graph.match(term, None, None)
+        assert not result.graph.match(None, None, term)
+        assert not result.graph.match(None, reg.prop("hasDateEncodingType"), None)
+        assert not result.graph.match(None, reg.prop("hasAlternativeCalendar"), None)
+        value = attrs.split('"')[1]
+        vocab = "Calendar" if attrs.startswith("calendar") else "DateEncoding"
+        assert result.warnings == [
+            f"record r1: cannot mint a {vocab} individual from {value!r}: "
+            f"{taken!r} is a vocabulary term, skipped"
+        ]
+
+    def test_value_naming_a_member_maps_to_it(self, reg):
+        result = convert(
+            '<mods ID="r1"><dateCreated encoding="iso 8601">2001</dateCreated></mods>', reg
+        )
+        iso = reg.individual("Iso8601")
+        assert result.graph.match(None, reg.prop("hasDateEncodingType"), iso)
+        assert not result.graph.match(iso, None, None)
+        assert result.warnings == []
 
     def test_empty_date_skipped(self, reg):
         result = convert("<mods><originInfo><dateIssued/></originInfo></mods>", reg)

@@ -306,7 +306,7 @@ class TestValidate:
         baseline = set(validate(g, cat, reg, infer=False).findings)
         rng = random.Random(5)
         for _ in range(5):
-            shuffled = list(cat.constraints)
+            shuffled = list(cat)
             rng.shuffle(shuffled)
             permuted = type(cat)(tuple(shuffled))
             assert set(validate(g, permuted, reg, infer=False).findings) == baseline

@@ -3,8 +3,7 @@
 import pytest
 
 from mmods.axioms import catalog
-from mmods.inference import materialize
-from mmods.validate import validate
+from mmods.validate import materialize, validate
 from mmods.vocab import VocabularyRegistry
 
 from oracles import finding_counter, naive_materialize, oracle_findings, random_vocab_graph

@@ -10,8 +10,7 @@ import pytest
 
 from mmods.axioms import catalog
 from mmods.graph import RDF_TYPE, XSD_BOOLEAN, BlankNode, Graph, Iri, Literal
-from mmods.inference import materialize
-from mmods.validate import check_constraint, validate
+from mmods.validate import check_constraint, materialize, validate
 from mmods.vocab import VocabularyRegistry
 
 from oracles import check_constraint_reference, random_vocab_graph, validate_reference

@@ -1,7 +1,5 @@
 """Vocabulary registry and ontology emission tests."""
 
-import json
-
 import pytest
 
 from mmods.axioms import catalog
@@ -18,6 +16,7 @@ from mmods.graph import (
 )
 from mmods.vocab import (
     DEFAULT_BASE_IRI,
+    MODULE_NAMES,
     VocabularyError,
     VocabularyRegistry,
     emit_ontology,
@@ -31,23 +30,33 @@ def reg():
 
 class TestResolve:
     def test_class_is_base_plus_name(self, reg):
-        assert reg.resolve("class", "AgentRole") == Iri(DEFAULT_BASE_IRI + "AgentRole")
+        assert reg.cls("AgentRole") == Iri(DEFAULT_BASE_IRI + "AgentRole")
 
     def test_vocab_individual_is_member_of_its_list(self, reg):
-        personal = reg.resolve("vocabIndividual", "Personal")
-        assert personal in reg.vocabulary_values("NameType")
+        personal = reg.individual("Personal")
+        assert personal in reg.vocabularies["NameType"].individuals
 
     def test_unknown_name_suggests_candidates(self, reg):
         with pytest.raises(VocabularyError, match="Affiliation"):
-            reg.resolve("class", "Affiliation")
-        try:
-            reg.resolve("class", "Agnet")
-        except VocabularyError as exc:
-            assert "Agent" in str(exc)
+            reg.cls("Affiliation")
+        with pytest.raises(VocabularyError, match="^\"unknown class name: 'Agnet'; nearest: Agent"):
+            reg.cls("Agnet")
+        with pytest.raises(VocabularyError, match="^\"unknown property name: 'hasNam'; nearest: hasName"):
+            reg.prop("hasNam")
+        with pytest.raises(
+            VocabularyError, match="^\"unknown vocabIndividual name: 'Personel'; nearest: Personal"
+        ):
+            reg.individual("Personel")
+        with pytest.raises(VocabularyError, match="^\"unknown class name: 'Zzz'\"$"):
+            reg.cls("Zzz")
 
-    def test_unknown_kind_rejected(self, reg):
-        with pytest.raises(VocabularyError):
-            reg.resolve("individual", "Personal")
+    def test_each_lookup_reads_only_its_own_table(self, reg):
+        with pytest.raises(VocabularyError, match="unknown class name: 'Personal'"):
+            reg.cls("Personal")
+        with pytest.raises(VocabularyError, match="unknown property name: 'Agent'"):
+            reg.prop("Agent")
+        with pytest.raises(VocabularyError, match="unknown vocabIndividual name: 'hasName'"):
+            reg.individual("hasName")
 
     def test_property_lookup(self, reg):
         assert reg.prop("hasName").value == DEFAULT_BASE_IRI + "hasName"
@@ -56,7 +65,7 @@ class TestResolve:
 
 class TestVocabularies:
     def test_qualifier_members_in_order(self, reg):
-        values = reg.vocabulary_values("Qualifier")
+        values = reg.vocabularies["Qualifier"].individuals
         assert [v.value.rsplit("/", 1)[-1] for v in values] == [
             "Approximate",
             "Inferred",
@@ -64,7 +73,7 @@ class TestVocabularies:
         ]
 
     def test_name_type_has_four_members(self, reg):
-        assert len(reg.vocabulary_values("NameType")) == 4
+        assert len(reg.vocabularies["NameType"].individuals) == 4
 
     def test_name_part_type_members(self, reg):
         assert reg.vocabularies["NamePartType"].member_names == (
@@ -77,7 +86,7 @@ class TestVocabularies:
         assert reg.vocabularies["Usage"].member_names == ("Primary",)
 
     def test_date_info_type_includes_date_valid(self, reg):
-        assert reg.individual("DateValid") in reg.vocabulary_values("DateInfoType")
+        assert reg.individual("DateValid") in reg.vocabularies["DateInfoType"].individuals
 
     def test_date_encoding_is_open_with_two_seeds(self, reg):
         vocab = reg.vocabularies["DateEncoding"]
@@ -89,22 +98,20 @@ class TestVocabularies:
         assert reg.vocabularies["Point"].closed
 
     def test_calendar_is_empty_but_extensible(self, reg):
-        assert reg.vocabulary_values("Calendar") == []
+        assert reg.vocabularies["Calendar"].individuals == ()
         assert not reg.vocabularies["Calendar"].closed
 
     def test_unknown_vocabulary(self, reg):
+        # Every vocabulary is a class; an unknown name is neither.
+        assert "Colour" not in reg.vocabularies
         with pytest.raises(VocabularyError):
-            reg.vocabulary_values("Colour")
+            reg.cls("Colour")
 
     def test_individuals_pairwise_distinct(self, reg):
         all_individuals = [
             iri for vocab in reg.vocabularies.values() for iri in vocab.individuals
         ]
         assert len(set(all_individuals)) == len(all_individuals)
-
-    def test_vocabulary_of_individual(self, reg):
-        assert reg.vocabulary_of(reg.individual("W3cdtf")).name == "DateEncoding"
-        assert reg.vocabulary_of(Iri("urn:other")) is None
 
 
 class TestBaseIri:
@@ -141,16 +148,9 @@ class TestBaseIri:
 
 
 class TestJsonDump:
-    def test_round_trips_through_json(self, reg):
-        dump = json.loads(json.dumps(reg.to_json()))
-        assert dump["baseIri"] == DEFAULT_BASE_IRI
-        assert dump["classes"]["Agent"] == DEFAULT_BASE_IRI + "Agent"
-        assert dump["vocabularies"]["NameType"]["closed"] is True
-        assert "Role-Dependent Names" in dump["modules"]
-
-    def test_module_names_present(self, reg):
+    def test_module_names_present(self):
         for name in ("MODS Item", "Name", "Date Information", "Organization"):
-            assert name in reg.modules
+            assert name in MODULE_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +184,7 @@ class TestEmitOntology:
         assert (ontology_node, RDF_TYPE, OWL_ONTOLOGY) in emitted
         has_module = Iri(DEFAULT_BASE_IRI + "hasModule")
         annotations = emitted.match(ontology_node, has_module, None)
-        assert len(annotations) == len(reg.modules)
+        assert len(annotations) == len(MODULE_NAMES)
         assert (ontology_node, has_module, Literal("Role-Dependent Names")) in emitted
 
     def test_identical_across_runs(self, reg):
