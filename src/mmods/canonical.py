@@ -10,8 +10,13 @@ integer cells: IRIs and literals are ranked by their keys, and a cell
 splits by its members' edge counts into another cell.  Where a cell still
 holds several blanks, a search individualizes them one at a time and keeps
 the least leaf, compared as integer triples; automorphisms found on
-the way prune branches that can only repeat a leaf.  A work budget
-proportional to the triple count bounds the search (LabellingBudgetError).
+the way prune branches that can only repeat a leaf.  Where the edges
+between blanks form a forest, the first leaf is the answer: on a
+vertex-coloured forest the cells of colour refinement are the automorphism
+orbits (Arvind, Köbler, Rattan & Verbitsky, "On the power of color
+refinement", FCT 2015), also after each individualization, so every leaf is
+an image of the first and has its certificate.  A work budget proportional
+to the triple count bounds the search (LabellingBudgetError).
 tests/oracles.py keeps an unpruned search that must draw the same
 distinctions.
 """
@@ -186,7 +191,8 @@ class _Orbits(dict):
     """Union-find over blanks (blank -> parent; a root -> minus its orbit's
     size): the orbits of the automorphisms taken in, from `seen` on.  The
     nodes of the first path share one, as every automorphism found so far
-    fixes the path to the deepest of them still open."""
+    fixes the path to the deepest of them still open.  _is_forest uses it
+    as a plain union-find."""
 
     def __init__(self, seen: int = 0):
         super().__init__()
@@ -197,18 +203,24 @@ class _Orbits(dict):
             b = self[b]
         return b
 
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False if they were one already."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return False
+        if self.get(a, -1) > self.get(b, -1):
+            a, b = b, a
+        self[a] = self.get(a, -1) + self.get(b, -1)
+        self[b] = a
+        return True
+
     def take_in(self, automorphisms: list, depth: int, part: _Partition) -> None:
         """Merge orbits along each new automorphism that fixes the path to depth."""
         for found, moved in automorphisms[self.seen :]:
             if found >= depth:
                 part.spend(len(moved))
                 for a, b in moved.items():
-                    a, b = self.find(a), self.find(b)
-                    if a != b:
-                        if self.get(a, -1) > self.get(b, -1):
-                            a, b = b, a
-                        self[a] = self.get(a, -1) + self.get(b, -1)
-                        self[b] = a
+                    self.union(a, b)
         self.seen = len(automorphisms)
 
 
@@ -242,6 +254,14 @@ class _Node:
         return None
 
 
+def _is_forest(edges: set) -> bool:
+    """Whether the edges between blanks form a forest: none joins two blanks
+    a path already connects, as a cycle, a second edge between two blanks
+    (another predicate or the other direction) would."""
+    joined = _Orbits()
+    return all(joined.union(s, o) for s, _, o in edges)
+
+
 def _canonical_labels(graph: Graph) -> dict[int, int]:
     """The blank id -> N map (label cN) of canonical form v2.
 
@@ -253,7 +273,8 @@ def _canonical_labels(graph: Graph) -> dict[int, int]:
     child whose refinement maps onto its first sibling's under a map that
     keeps the edges.  A child in the orbit of a searched sibling is skipped,
     and a leaf equal to the first returns to where its path left the first
-    path.
+    path.  When the blanks form a forest (_is_forest), the first leaf is
+    returned: it spends no units on certificates or further leaves.
     """
     keys, triples = graph._keys, graph._triples
     blanks = {x for x, key in enumerate(keys) if key[0] == "_"}
@@ -268,8 +289,6 @@ def _canonical_labels(graph: Graph) -> dict[int, int]:
     # label * 4 + 3 for an edge between blanks.
     sigs: defaultdict[int, list[int]] = defaultdict(list)
     adj: list[list[tuple[int, int]]] = [[] for _ in keys]
-    edges = set()
-    coded = []  # held triples, a blank b as ~b and other terms as ranks
     for s, p, o in held:
         p, s_blank, o_blank = rank[p], s in blanks, o in blanks
         if s_blank and o_blank and s != o:
@@ -277,17 +296,24 @@ def _canonical_labels(graph: Graph) -> dict[int, int]:
             adj[s].append((2 * p + 1, o))
             sigs[s].append(8 * p + 3)
             sigs[o].append(8 * p + 7)
-            edges.add((s, p, o))
         elif not s_blank:
             sigs[o].append((p * width + rank[s]) * 4 + 2)
         elif s == o:
             sigs[s].append((p * width + width - 1) * 4)
         else:
             sigs[s].append((p * width + rank[o]) * 4 + 1)
-        coded.append((~s if s_blank else rank[s], p, ~o if o_blank else rank[o]))
     part = _Partition({b: sorted(sig) for b, sig in sigs.items()}, adj, len(triples))
     if part.target(0) is None:
         return {b: i for i, b in enumerate(part.elems)}
+
+    edges = set()
+    coded = []  # held triples, a blank b as ~b and other terms as ranks
+    for s, p, o in held:
+        p, s_blank, o_blank = rank[p], s in blanks, o in blanks
+        if s_blank and o_blank and s != o:
+            edges.add((s, p, o))
+        coded.append((~s if s_blank else rank[s], p, ~o if o_blank else rank[o]))
+    forest = _is_forest(edges)
 
     part.trail = trail = []
     automorphisms: list[tuple[int, dict[int, int]]] = []  # (depth of the path fixed, moved points)
@@ -299,6 +325,8 @@ def _canonical_labels(graph: Graph) -> dict[int, int]:
     while True:
         c = part.target(start)
         if c is None:
+            if forest:
+                return {b: i for i, b in enumerate(part.elems)}
             pos = part.pos
             leaf = (
                 sorted([(s if s >= 0 else width + pos[~s], p, o if o >= 0 else width + pos[~o]) for s, p, o in coded]),

@@ -7,6 +7,11 @@ canonical._WORK_MIN_TRIPLES triples), 2 I/O or usage failure (also an
 invalid base IRI), 3 validation found errors, 4 unknown vocabulary name.
 Artifacts go to stdout (or --out) as UTF-8 whatever the locale, diagnostics
 to stderr. Same inputs and flags produce byte-identical output.
+
+main() reuses what it builds across calls in one process, each on first use
+rather than at import: one argument parser, and one registry and constraint
+catalog per resolved base IRI (the last few bases are kept; a base that
+fails is not, so it fails again on every call).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import json
 import os
 import sys
 
-from .axioms import catalog
+from .axioms import ConstraintCatalog, catalog
 from .canonical import LabellingBudgetError
 from .graph import Graph
 from .mapping import MappingError, map_record
@@ -47,11 +52,18 @@ class _CliError(Exception):
         self.exit_code = exit_code
 
 
-def _registry(args) -> VocabularyRegistry:
-    """The registry under --base-iri, else MMODS_BASE_IRI, else the default."""
+@functools.lru_cache(maxsize=4)
+def _shared_vocabulary(base: str) -> tuple[VocabularyRegistry, ConstraintCatalog]:
+    registry = VocabularyRegistry(base)
+    return registry, catalog(registry)
+
+
+def _vocabulary(args) -> tuple[VocabularyRegistry, ConstraintCatalog]:
+    """The registry and its catalog under --base-iri, else MMODS_BASE_IRI,
+    else the default."""
     base = args.base_iri or os.environ.get("MMODS_BASE_IRI") or DEFAULT_BASE_IRI
     try:
-        return VocabularyRegistry(base)
+        return _shared_vocabulary(base)
     except VocabularyError as exc:
         raise _CliError(EXIT_IO, exc.args[0]) from exc
 
@@ -145,7 +157,7 @@ def _serialize_graph(graph: Graph, registry, fmt: str) -> str:
 
 
 def _cmd_convert(args) -> int:
-    registry = _registry(args)
+    registry, _ = _vocabulary(args)
     record_ids: set = set()
     graphs = [_map_mods(path, registry, record_ids) for path in args.inputs]
     _write_output(_serialize_graph(_merge(graphs), registry, args.format), args.out)
@@ -162,8 +174,7 @@ def _load_for_validation(path: str, args, registry) -> Graph:
 
 
 def _cmd_validate(args) -> int:
-    registry = _registry(args)
-    rules = catalog(registry)
+    registry, rules = _vocabulary(args)
     reports = []
     for path in args.inputs:
         # The graph is this command's own, so it is saturated in place.
@@ -191,8 +202,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    registry = _registry(args)
-    rules = catalog(registry)
+    registry, rules = _vocabulary(args)
     graph = _read_graph_file(args.input)
     graph.apply_rules(rules.chains(), rules.subclass_pairs())  # in place: the graph is ours
     _write_output(_serialize_graph(graph, registry, args.format), args.out)
@@ -200,15 +210,14 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_emit_ontology(args) -> int:
-    registry = _registry(args)
-    rules = catalog(registry)
+    registry, rules = _vocabulary(args)
     graph = emit_ontology(registry, rules)
     _write_output(_serialize_graph(graph, registry, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_vocab(args) -> int:
-    registry = _registry(args)
+    registry, _ = _vocabulary(args)
     if args.name is not None:
         vocab = registry.vocabularies.get(args.name)
         if vocab is None:
@@ -290,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main() reuses one parser, built on its first call rather than at import.
 _shared_parser = functools.cache(build_parser)
 
 

@@ -112,6 +112,7 @@ OWL_CLASS = Iri(OWL_NS + "Class")
 OWL_OBJECT_PROPERTY = Iri(OWL_NS + "ObjectProperty")
 OWL_DATATYPE_PROPERTY = Iri(OWL_NS + "DatatypeProperty")
 OWL_ONTOLOGY = Iri(OWL_NS + "Ontology")
+OWL_ANNOTATION_PROPERTY = Iri(OWL_NS + "AnnotationProperty")
 
 
 class Literal(_Value):

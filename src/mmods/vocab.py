@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graph import (
+    OWL_ANNOTATION_PROPERTY,
     OWL_CLASS,
     OWL_DATATYPE_PROPERTY,
     OWL_OBJECT_PROPERTY,
@@ -217,12 +218,13 @@ def emit_ontology(registry: VocabularyRegistry, catalog) -> Graph:
     One class declaration per class-table entry, one property declaration per
     property, one type triple per vocabulary individual, one subclass triple
     per subclass rule in the catalog, and one module-name annotation per
-    module.
+    module, whose property is declared an annotation property.
     """
     g = Graph()
     ontology_node = Iri(registry.base_iri.rstrip("/#"))
     g.add(ontology_node, RDF_TYPE, OWL_ONTOLOGY)
     has_module = Iri(registry.base_iri + "hasModule")
+    g.add(has_module, RDF_TYPE, OWL_ANNOTATION_PROPERTY)
     for module_name in MODULE_NAMES:
         g.add(ontology_node, has_module, Literal(module_name))
     for iri in registry.classes.values():

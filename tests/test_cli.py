@@ -646,6 +646,40 @@ class TestParserReuse:
         assert done.stdout == "0\n"
 
 
+class TestVocabularyReuse:
+    def test_calls_under_each_base_match_separate_runs(self, capsys, monkeypatch):
+        # main() keeps a registry and catalog per base IRI; each call must
+        # get those of its own base, not the ones the call before it built.
+        from_env = {"MMODS_BASE_IRI": "https://example.org/from-env/"}
+        calls = [
+            ({}, ("convert", FIXTURES / "personal.xml", "--format", "nt")),
+            ({}, ("convert", FIXTURES / "personal.xml", "--base-iri", "https://example.org/other/")),
+            (from_env, ("convert", FIXTURES / "personal.xml", "--format", "nt")),
+            (from_env, ("validate", FIXTURES / "personal.xml", "--report", "json")),
+            (from_env, ("infer", FIXTURES / "triangle.nt")),
+            ({}, ("validate", FIXTURES / "personal.xml", "--report", "json")),
+            ({}, ("infer", FIXTURES / "triangle.nt")),
+        ]
+        for env, argv in calls:
+            monkeypatch.delenv("MMODS_BASE_IRI", raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            result = run(capsys, *argv)
+            done = fresh_python("-m", "mmods.cli", *argv)
+            assert result == (done.returncode, done.stdout, done.stderr), (env, argv)
+
+    def test_invalid_base_fails_on_every_call(self, capsys):
+        for _ in range(2):
+            code, out, err = run(capsys, "convert", FIXTURES / "personal.xml", "--base-iri", "foo")
+            assert (code, out, err) == (2, "", "error: invalid base IRI 'foo'\n")
+
+    def test_registry_not_built_at_import(self):
+        done = fresh_python(
+            "-c", "import mmods.cli; print(mmods.cli._shared_vocabulary.cache_info().currsize)"
+        )
+        assert done.stdout == "0\n"
+
+
 BASE_IRI_COMMANDS = [
     ("convert", FIXTURES / "personal.xml"),
     ("validate", FIXTURES / "personal.xml", "--report", "json"),

@@ -11,6 +11,7 @@ hash-based labelling quadratic.
 import copy
 import itertools
 import math
+import pathlib
 import pickle
 import random
 
@@ -815,6 +816,98 @@ class TestPrunedSearchMatchesExhaustive:
             relabeled.add(rename.get(s, s), p, rename.get(o, o))
         lines = sorted(format_triple(t) for t in relabeled.triples())
         assert "".join(line + "\n" for line in lines) == canonicalize(g)
+
+
+def labels_and_rule(g):
+    """_canonical_labels(g), and what its forest test answered: [] when
+    refinement alone labels every blank, else [True] or [False]."""
+    answers = []
+    is_forest = canonical_module._is_forest
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(canonical_module, "_is_forest", lambda edges: answers.append(is_forest(edges)) or answers[-1])
+        labels = _canonical_labels(g)
+    return labels, answers
+
+
+def labels_by_full_search(g):
+    """_canonical_labels(g) with the forest rule off: every leaf is searched."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(canonical_module, "_is_forest", lambda edges: False)
+        return _canonical_labels(g)
+
+
+R = Iri("urn:r")
+FOREST_ATTRIBUTES = [(A, False), (B, False), (A, True), (Literal("1"), False), (Literal("2"), False), (None, False)]
+
+
+@st.composite
+def blank_forests(draw):
+    """Random trees of blanks, each in 1-4 isomorphic copies, on 1-3
+    predicates in either direction, with literal or IRI attributes (an IRI
+    also as subject) and self-loops."""
+    preds = [P, Q, R][: draw(st.integers(1, 3))]
+    g = Graph()
+    for tree in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 6))
+        # Node i > 0 hangs off an earlier node, on a predicate, downward or up.
+        links = [
+            (draw(st.integers(0, i - 1)), draw(st.sampled_from(preds)), draw(st.booleans()))
+            for i in range(1, size)
+        ]
+        attributes = [
+            draw(st.lists(st.tuples(st.sampled_from(preds), st.sampled_from(FOREST_ATTRIBUTES)), max_size=2))
+            for _ in range(size)
+        ]
+        for copy_number in range(draw(st.integers(1, 4))):
+            node = [BlankNode(f"t{tree}c{copy_number}n{i}") for i in range(size)]
+            for i, (parent, p, down) in enumerate(links, 1):
+                g.add(*((node[parent], p, node[i]) if down else (node[i], p, node[parent])))
+            for b, pairs in zip(node, attributes):
+                for p, (value, inward) in pairs:
+                    g.add(*((value, p, b) if inward else (b, p, b if value is None else value)))
+    return g
+
+
+class TestForestRule:
+    """Where the blanks form a forest, the search stops at its first leaf,
+    which must be the leaf the full search keeps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=blank_forests(), seed=st.integers(0, 10_000))
+    def test_first_leaf_is_the_full_search_result(self, g, seed):
+        labels, answers = labels_and_rule(g)
+        assert answers in ([], [True])
+        assert labels == labels_by_full_search(g)
+        assert canonicalize(relabeled_shuffled(g, seed)) == canonicalize(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cycles([3, 6]),
+            cycles([4, 8]),
+            cycles([3, 4, 5]),
+            # Two predicates between the same two blanks.
+            relabeled_shuffled(name_chains(2).add(BlankNode("a0"), Q, BlankNode("n0")).add(BlankNode("a1"), Q, BlankNode("n1")), 0),
+            # a -p-> b together with b -p-> a.
+            cycles([2, 2, 2]),
+        ],
+        ids=["C3+C6", "C4+C8", "C3+C4+C5", "two-predicates", "both-directions"],
+    )
+    def test_other_graphs_search_every_leaf(self, g):
+        labels, answers = labels_and_rule(g)
+        assert answers == [False]
+        text = canonicalize(g)
+        for seed in range(40):
+            assert canonicalize(relabeled_shuffled(g, seed)) == text
+        assert_agrees_with_exhaustive(g, relabeled_shuffled(g, 1), cycles([9]))
+
+    @pytest.mark.parametrize("fixture, taken", [("twins.xml", [True]), ("tied.xml", [False])])
+    def test_fixtures(self, fixture, taken):
+        path = pathlib.Path(__file__).parent / "fixtures" / fixture
+        g = map_record(parse_mods_xml(path.read_bytes()), VocabularyRegistry()).graph
+        labels, answers = labels_and_rule(g)
+        assert answers == taken
+        assert labels == labels_by_full_search(g)
 
 
 class _Budget:

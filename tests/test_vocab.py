@@ -5,6 +5,7 @@ import pytest
 from mmods.axioms import catalog
 from mmods.canonical import canonicalize
 from mmods.graph import (
+    OWL_ANNOTATION_PROPERTY,
     OWL_CLASS,
     OWL_DATATYPE_PROPERTY,
     OWL_OBJECT_PROPERTY,
@@ -186,6 +187,12 @@ class TestEmitOntology:
         annotations = emitted.match(ontology_node, has_module, None)
         assert len(annotations) == len(MODULE_NAMES)
         assert (ontology_node, has_module, Literal("Role-Dependent Names")) in emitted
+        assert (has_module, RDF_TYPE, OWL_ANNOTATION_PROPERTY) in emitted
+
+    def test_every_predicate_is_declared(self, emitted):
+        declared = {t.s for t in emitted if t.p == RDF_TYPE}
+        used = {t.p for t in emitted} - {RDF_TYPE, RDFS_SUBCLASS_OF}
+        assert used and used <= declared, sorted(used - declared, key=str)
 
     def test_identical_across_runs(self, reg):
         first = emit_ontology(reg, catalog(reg))
