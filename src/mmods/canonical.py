@@ -15,8 +15,13 @@ between blanks form a forest, the first leaf is the answer: on a
 vertex-coloured forest the cells of colour refinement are the automorphism
 orbits (Arvind, Köbler, Rattan & Verbitsky, "On the power of color
 refinement", FCT 2015), also after each individualization, so every leaf is
-an image of the first and has its certificate.  A work budget proportional
-to the triple count bounds the search (LabellingBudgetError).
+an image of the first and has its certificate.  A forest is therefore
+labelled by the search's first descent alone, with no certificates, trail
+or orbits, at one unit per individualized blank besides refinement.
+Refinement pays for what mapped graphs need: a split that moves one blank
+is a swap, and a splitter that touches no cell of several blanks splits
+nothing.  A work budget proportional to the triple count bounds the search
+(LabellingBudgetError).
 tests/oracles.py keeps an unpruned search that must draw the same
 distinctions.
 """
@@ -76,10 +81,22 @@ class _Partition:
     def _split(self, c: int, touched: list[int], key: dict) -> list[int]:
         """Move the touched blanks of cell c, sorted by key, to its back and
         start a cell at each new key; returns the parts' starts.  `key` must
-        hold no other blank of the cell."""
+        hold no other blank of the cell.  One touched blank of a cell with
+        several is swapped with the cell's last blank: every individualization
+        and most refinement splits take that path."""
         elems, pos, cell, end = self.elems, self.pos, self.cell, self.end
         e = end[c]
         back = e - len(touched)
+        if len(touched) == 1 and back > c:
+            v = touched[0]
+            h, u = pos[v], elems[back]
+            if self.trail is not None:
+                self.trail.append((c, e, touched, touched, [h], [u]))
+            elems[h], pos[u] = u, h
+            elems[back], pos[v] = v, back
+            cell[v] = end[c] = back
+            end[back] = e
+            return [c, back]
         front = [v for v in touched if pos[v] < back]
         holes = [pos[v] for v in front]
         old = elems[back:e]
@@ -118,43 +135,63 @@ class _Partition:
             f = end[f]
         return f if f < n else None
 
+    def individualize(self, b: int) -> None:
+        """Give blank b a cell of its own, after the rest of its cell, and
+        refine by it: one search node."""
+        self.spend(1)
+        self._split(self.cell[b], [b], {b: 0})
+        self.refine([self.cell[b]])
+
     def refine(self, queue: list[int]) -> None:
         """Split cells by their label counts toward each queued cell in turn.
 
         A split moves the touched blanks to the back of the cell, in count
         key order (untouched first), so it costs the blanks touched.  All
         parts but one largest are queued; all are if the cell is queued.
+        Only blanks in cells of several blanks are marked, grouped by cell
+        as they are; a splitter that touches no such cell splits nothing and
+        costs only its scan.
         """
         elems, cell, end, adj = self.elems, self.cell, self.end, self.adj
         queued = set(queue)
         steps = 0
         for f in queue:
             queued.discard(f)
-            marks: dict[int, list[int]] = {}  # touched blank -> its labels, its count key
+            # Touched blanks of cells with several blanks: their labels (their
+            # count key), and the blanks by cell.
+            marks: dict[int, list[int]] = {}
+            by_cell: dict[int, list[int]] = {}
             for w in elems[f : end[f]]:
                 steps += len(adj[w]) + 1
                 for label, v in adj[w]:
                     if v in marks:
                         marks[v].append(label)
                     else:
-                        marks[v] = [label]
-            by_cell: dict[int, list[int]] = {}
-            for v, labels in marks.items():
-                c = cell[v]
-                if end[c] - c > 1:
-                    by_cell.setdefault(c, []).append(v)
-                    labels.sort()
+                        c = cell[v]
+                        if end[c] - c > 1:
+                            marks[v] = [label]
+                            by_cell.setdefault(c, []).append(v)
+            if not by_cell:
+                continue
             for c in sorted(by_cell):
                 touched = by_cell[c]
+                for v in touched:
+                    marks[v].sort()
                 touched.sort(key=marks.__getitem__)
                 if len(touched) == end[c] - c and marks[touched[0]] == marks[touched[-1]]:
                     continue
                 steps += len(touched)
                 starts = self._split(c, touched, marks)
-                sizes = {a: b - a for a, b in zip(starts, starts[1:] + [end[starts[-1]]])}
-                if c not in queued:
-                    del sizes[max(starts, key=sizes.__getitem__)]
-                new = [a for a in sizes if a not in queued]
+                if len(starts) == 2:
+                    # Two parts: the second if the cell is queued, else the
+                    # smaller, the second on a tie.
+                    b = starts[1]
+                    new = [c if c not in queued and b - c < end[b] - b else b]
+                else:
+                    sizes = {a: b - a for a, b in zip(starts, starts[1:] + [end[starts[-1]]])}
+                    if c not in queued:
+                        del sizes[max(starts, key=sizes.__getitem__)]
+                    new = [a for a in sizes if a not in queued]
                 queue += new
                 queued.update(new)
         self.spend(steps)
@@ -273,8 +310,11 @@ def _canonical_labels(graph: Graph) -> dict[int, int]:
     child whose refinement maps onto its first sibling's under a map that
     keeps the edges.  A child in the orbit of a searched sibling is skipped,
     and a leaf equal to the first returns to where its path left the first
-    path.  When the blanks form a forest (_is_forest), the first leaf is
-    returned: it spends no units on certificates or further leaves.
+    path.  When the blanks form a forest (_is_forest), only the first
+    descent runs, the first blank of the first cell with several from the
+    last one individualized each time, and its leaf is returned: the forest
+    spends one unit per individualized blank and its refinement steps, and
+    none on certificates or further leaves.
     """
     keys, triples = graph._keys, graph._triples
     blanks = {x for x, key in enumerate(keys) if key[0] == "_"}
@@ -290,30 +330,35 @@ def _canonical_labels(graph: Graph) -> dict[int, int]:
     sigs: defaultdict[int, list[int]] = defaultdict(list)
     adj: list[list[tuple[int, int]]] = [[] for _ in keys]
     for s, p, o in held:
-        p, s_blank, o_blank = rank[p], s in blanks, o in blanks
-        if s_blank and o_blank and s != o:
+        p = rank[p]
+        if s not in blanks:
+            b, sig = o, (p * width + rank[s]) * 4 + 2
+        elif o not in blanks:
+            b, sig = s, (p * width + rank[o]) * 4 + 1
+        elif s == o:
+            b, sig = s, (p * width + width - 1) * 4
+        else:
             adj[o].append((2 * p, s))
             adj[s].append((2 * p + 1, o))
             sigs[s].append(8 * p + 3)
-            sigs[o].append(8 * p + 7)
-        elif not s_blank:
-            sigs[o].append((p * width + rank[s]) * 4 + 2)
-        elif s == o:
-            sigs[s].append((p * width + width - 1) * 4)
-        else:
-            sigs[s].append((p * width + rank[o]) * 4 + 1)
-    part = _Partition({b: sorted(sig) for b, sig in sigs.items()}, adj, len(triples))
+            b, sig = o, 8 * p + 7
+        sigs[b].append(sig)
+    for sig in sigs.values():
+        sig.sort()
+    part = _Partition(sigs, adj, len(triples))
     if part.target(0) is None:
         return {b: i for i, b in enumerate(part.elems)}
 
-    edges = set()
-    coded = []  # held triples, a blank b as ~b and other terms as ranks
-    for s, p, o in held:
-        p, s_blank, o_blank = rank[p], s in blanks, o in blanks
-        if s_blank and o_blank and s != o:
-            edges.add((s, p, o))
-        coded.append((~s if s_blank else rank[s], p, ~o if o_blank else rank[o]))
-    forest = _is_forest(edges)
+    edges = {(s, rank[p], o) for s, p, o in held if s in blanks and o in blanks and s != o}
+    if _is_forest(edges):
+        # The search's first descent: its leaf is the answer.
+        c = part.target(0)
+        while c is not None:
+            part.individualize(part.elems[c])
+            c = part.target(c)
+        return {b: i for i, b in enumerate(part.elems)}
+    # Held triples, a blank b as ~b and other terms as ranks.
+    coded = [(~s if s in blanks else rank[s], rank[p], ~o if o in blanks else rank[o]) for s, p, o in held]
 
     part.trail = trail = []
     automorphisms: list[tuple[int, dict[int, int]]] = []  # (depth of the path fixed, moved points)
@@ -325,8 +370,6 @@ def _canonical_labels(graph: Graph) -> dict[int, int]:
     while True:
         c = part.target(start)
         if c is None:
-            if forest:
-                return {b: i for i, b in enumerate(part.elems)}
             pos = part.pos
             leaf = (
                 sorted([(s if s >= 0 else width + pos[~s], p, o if o >= 0 else width + pos[~o]) for s, p, o in coded]),
@@ -367,10 +410,8 @@ def _canonical_labels(graph: Graph) -> dict[int, int]:
             return {b: i for i, b in enumerate(best[1])}
         del path[len(nodes) - 1 :]
         path.append(child)
-        part.spend(1)
         mark = len(trail)
-        part._split(part.cell[child], [child], {child: 0})
-        part.refine([part.cell[child]])
+        part.individualize(child)
         moved_from = {}
         for c, _, touched, *_ in trail[mark:]:
             for v in touched:

@@ -148,6 +148,7 @@ class _DocumentContext:
         self.rdf_type = self.intern(format_term(RDF_TYPE))
         self.warnings: list[str] = []
         self.org_table: dict[str, int] = {}
+        self.minted: dict[str, str] = {}  # minted local name -> its vocabulary
 
     def start_record(self, record_id: str) -> None:
         self.record_id = record_id
@@ -184,7 +185,8 @@ def _map_attributes(element: ET.Element, owner, table, ctx: _DocumentContext) ->
     that is already one of the vocabulary's members maps to that member;
     any other name the registry holds (a class, a property or another
     vocabulary's member) is warned about and skipped, so no minted
-    individual lands on a vocabulary term's IRI.
+    individual lands on a vocabulary term's IRI.  So is a name another open
+    vocabulary minted earlier in the document.
     """
     for row in table:
         value = element.get(row.key)
@@ -209,6 +211,12 @@ def _map_attributes(element: ET.Element, owner, table, ctx: _DocumentContext) ->
                 ctx.warn(
                     f"cannot mint a {row.mint} individual from {value!r}: "
                     f"{local!r} is a vocabulary term, skipped"
+                )
+                continue
+            elif ctx.minted.setdefault(local, row.mint) != row.mint:
+                ctx.warn(
+                    f"cannot mint a {row.mint} individual from {value!r}: "
+                    f"{local!r} is a minted {ctx.minted[local]} individual, skipped"
                 )
                 continue
             else:

@@ -836,6 +836,19 @@ def labels_by_full_search(g):
         return _canonical_labels(g)
 
 
+def units_spent(g, forest_rule=True):
+    """The budget units _canonical_labels(g) spends: its partition's limit
+    minus what is left of its budget."""
+    parts = []
+    init = canonical_module._Partition.__init__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(canonical_module._Partition, "__init__", lambda self, *args: parts.append(self) or init(self, *args))
+        if not forest_rule:
+            patch.setattr(canonical_module, "_is_forest", lambda edges: False)
+        _canonical_labels(g)
+    return sum(part.limit - part.budget for part in parts)
+
+
 R = Iri("urn:r")
 FOREST_ATTRIBUTES = [(A, False), (B, False), (A, True), (Literal("1"), False), (Literal("2"), False), (None, False)]
 
@@ -908,6 +921,31 @@ class TestForestRule:
         labels, answers = labels_and_rule(g)
         assert answers == taken
         assert labels == labels_by_full_search(g)
+
+    @pytest.mark.parametrize("distinct", range(6))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_descent_on_symmetric_records(self, k, distinct):
+        # The benchmark's symmetric_blank shape: one ID-less record with k
+        # identical bare names and 0-5 distinct ones.
+        names = ["Ada Lovelace"] * k + [f"Name {i}" for i in range(distinct)]
+        random.Random(10 * k + distinct).shuffle(names)
+        body = "".join(f"<name><namePart>{n}</namePart></name>" for n in names)
+        text = f'<mods xmlns="http://www.loc.gov/mods/v3">{body}</mods>'
+        g = map_record(parse_mods_xml(text), VocabularyRegistry()).graph
+        labels, answers = labels_and_rule(g)
+        assert answers == [True]
+        assert labels == labels_by_full_search(g)
+        assert units_spent(g) <= units_spent(g, forest_rule=False)
+
+    def test_descent_on_twins_spends_no_more(self):
+        path = pathlib.Path(__file__).parent / "fixtures" / "twins.xml"
+        g = map_record(parse_mods_xml(path.read_bytes()), VocabularyRegistry()).graph
+        assert units_spent(g) <= units_spent(g, forest_rule=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=blank_forests())
+    def test_descent_spends_no_more(self, g):
+        assert units_spent(g) <= units_spent(g, forest_rule=False)
 
 
 class _Budget:

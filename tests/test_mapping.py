@@ -345,6 +345,28 @@ class TestDates:
             f"{taken!r} is a vocabulary term, skipped"
         ]
 
+    @pytest.mark.parametrize(
+        "records",
+        [
+            ['<dateCreated calendar="edtf" encoding="edtf">2001</dateCreated>'],
+            ['<dateCreated encoding="edtf">2001</dateCreated>', '<dateOther calendar="edtf">2002</dateOther>'],
+        ],
+        ids=["one-element", "two-records"],
+    )
+    def test_two_open_vocabularies_do_not_mint_one_individual(self, reg, records):
+        # The encoding row comes first, so DateEncoding mints Edtf and the
+        # calendar value is skipped.
+        text = "".join(f'<mods ID="r{i}">{r}</mods>' for i, r in enumerate(records, 1))
+        result = convert(f"<modsCollection>{text}</modsCollection>", reg)
+        edtf = Iri(reg.base_iri + "Edtf")
+        assert [t.o for t in result.graph.match(edtf, None, None)] == [reg.cls("DateEncoding")]
+        assert not result.graph.match(None, reg.prop("hasAlternativeCalendar"), None)
+        assert result.warnings == [
+            "record r1: minted DateEncoding individual 'Edtf' for value 'edtf'",
+            f"record r{len(records)}: cannot mint a Calendar individual from 'edtf': "
+            "'Edtf' is a minted DateEncoding individual, skipped",
+        ]
+
     def test_value_naming_a_member_maps_to_it(self, reg):
         result = convert(
             '<mods ID="r1"><dateCreated encoding="iso 8601">2001</dateCreated></mods>', reg
