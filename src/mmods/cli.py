@@ -1,8 +1,10 @@
 """Command-line interface: convert, validate, infer, emit-ontology, vocab.
 
-Exit codes: 0 success, 1 parse failure (also a bad or repeated record ID,
-or blank nodes too symmetric to label within the work budget of
-canonical._WORK_PER_TRIPLE steps per triple, for at least
+convert maps all its inputs into one graph; validate, each into its own.
+
+Exit codes: 0 success, 1 parse failure (also a bad record ID or one the
+graph already holds, or blank nodes too symmetric to label within the work
+budget of canonical._WORK_PER_TRIPLE steps per triple, for at least
 canonical._WORK_MIN_TRIPLES triples), 2 I/O or usage failure (also an
 invalid base IRI), 3 validation found errors, 4 unknown vocabulary name.
 Artifacts go to stdout (or --out) as UTF-8 whatever the locale, diagnostics
@@ -98,26 +100,17 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _map_mods(path: str, registry, record_ids: set) -> Graph:
-    """The graph of a MODS file; mapping warnings go to stderr.
-
-    `record_ids` holds the record IDs of the inputs mapped before this one
-    into the same output; the file's own are added to it.  An ID already
-    there is an error, as a repeat within the file is.
-    """
+def _map_mods(path: str, registry, graph: Graph) -> Graph:
+    """The graph with a MODS file mapped into it; mapping warnings go to stderr."""
     try:
-        result = map_record(parse_mods_xml(_read_bytes(path), source=path), registry)
+        result = map_record(parse_mods_xml(_read_bytes(path), source=path), registry, graph)
     except ModsParseError as exc:
         raise _CliError(EXIT_PARSE, str(exc)) from exc
     except MappingError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
-    for record_id in result.record_ids:
-        if record_id in record_ids:
-            raise _CliError(EXIT_PARSE, f"{path}: duplicate record ID {record_id!r}")
-    record_ids.update(result.record_ids)
     for warning in result.warnings:
         _warn(f"{path}: {warning}")
-    return result.graph
+    return graph
 
 
 def _read_graph_file(path: str) -> Graph:
@@ -127,24 +120,6 @@ def _read_graph_file(path: str) -> Graph:
         return read_ntriples(text)
     except (NTriplesError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
-
-
-def _merge(graphs: list[Graph]) -> Graph:
-    """The first graph, with every later one added into it on ids.
-
-    Each key of a later graph is mapped once, its blank nodes' ("_:...")
-    to blank nodes fresh in the first, so blank nodes of different inputs
-    stay apart.  With one input, that graph itself is the result.
-    """
-    merged = graphs[0]
-    for graph in graphs[1:]:
-        ids = [
-            merged._intern(merged._fresh_key() if key.startswith("_:") else key)
-            for key in graph._keys
-        ]
-        for s, p, o in graph._triples:
-            merged._add_ids(ids[s], ids[p], ids[o])
-    return merged
 
 
 def _serialize_graph(graph: Graph, registry, fmt: str) -> str:
@@ -158,19 +133,18 @@ def _serialize_graph(graph: Graph, registry, fmt: str) -> str:
 
 def _cmd_convert(args) -> int:
     registry, _ = _vocabulary(args)
-    record_ids: set = set()
-    graphs = [_map_mods(path, registry, record_ids) for path in args.inputs]
-    _write_output(_serialize_graph(_merge(graphs), registry, args.format), args.out)
+    graph = Graph()
+    for path in args.inputs:
+        _map_mods(path, registry, graph)
+    _write_output(_serialize_graph(graph, registry, args.format), args.out)
     return EXIT_OK
 
 
 def _load_for_validation(path: str, args, registry) -> Graph:
-    fmt = args.input_format
-    if fmt is None:
-        fmt = "nt" if path.endswith(".nt") else "xml"
+    fmt = args.input_format or ("nt" if path.endswith(".nt") else "xml")
     if fmt == "nt":
         return _read_graph_file(path)
-    return _map_mods(path, registry, set())
+    return _map_mods(path, registry, Graph())
 
 
 def _cmd_validate(args) -> int:

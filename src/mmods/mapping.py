@@ -4,7 +4,7 @@ Each record becomes one item node; names, roles, affiliations, dates, and
 the shared attribute groups become typed nodes linked to it. Anything the
 mapping does not cover is reported as a warning, never an error. The one
 error is a record ID that cannot name the record's nodes: one that is not
-valid IRI text, or one that repeats within the document.
+valid IRI text, or one that a record already mapped into the graph carries.
 
 Attributes whose values come from a vocabulary are data: one table per
 element (NAME_ATTRIBUTES, NAME_PART_ATTRIBUTES, DATE_ATTRIBUTES) that
@@ -89,6 +89,9 @@ DATE_ATTRIBUTES = (
     _Attribute("calendar", "hasAlternativeCalendar", {}, mint="Calendar"),
 )
 
+# The open vocabularies the tables mint individuals in, in row order.
+_MINTED = [row.mint for row in NAME_ATTRIBUTES + NAME_PART_ATTRIBUTES + DATE_ATTRIBUTES if row.mint]
+
 # The language group's attributes and their properties, in order; lang and
 # xml:lang both give hasLang, so equal values of the two add one triple.
 _LANGUAGE_ATTRIBUTES = (
@@ -107,8 +110,8 @@ class MappingError(ValueError):
 
 
 class MappingResult(NamedTuple):
-    """A mapped graph, the warnings gathered while producing it, and the
-    record IDs it carries in document order."""
+    """The graph mapped into, the warnings gathered while mapping the
+    document, and the document's record IDs in document order."""
 
     graph: Graph
     warnings: list[str]
@@ -148,7 +151,6 @@ class _DocumentContext:
         self.rdf_type = self.intern(format_term(RDF_TYPE))
         self.warnings: list[str] = []
         self.org_table: dict[str, int] = {}
-        self.minted: dict[str, str] = {}  # minted local name -> its vocabulary
 
     def start_record(self, record_id: str) -> None:
         self.record_id = record_id
@@ -185,8 +187,9 @@ def _map_attributes(element: ET.Element, owner, table, ctx: _DocumentContext) ->
     that is already one of the vocabulary's members maps to that member;
     any other name the registry holds (a class, a property or another
     vocabulary's member) is warned about and skipped, so no minted
-    individual lands on a vocabulary term's IRI.  So is a name another open
-    vocabulary minted earlier in the document.
+    individual lands on a vocabulary term's IRI.  So is a name the graph
+    already types as an individual of another open vocabulary, whichever
+    document minted it.
     """
     for row in table:
         value = element.get(row.key)
@@ -213,14 +216,20 @@ def _map_attributes(element: ET.Element, owner, table, ctx: _DocumentContext) ->
                     f"{local!r} is a vocabulary term, skipped"
                 )
                 continue
-            elif ctx.minted.setdefault(local, row.mint) != row.mint:
-                ctx.warn(
-                    f"cannot mint a {row.mint} individual from {value!r}: "
-                    f"{local!r} is a minted {ctx.minted[local]} individual, skipped"
-                )
-                continue
             else:
-                target = ctx.intern(f"<{ctx.base_iri}{local}>")
+                key = f"<{ctx.base_iri}{local}>"
+                tid = ctx.graph._ids.get(key)
+                others = [] if tid is None else [
+                    vocab for vocab in _MINTED
+                    if vocab != row.mint and (tid, ctx.rdf_type, ctx.cls[vocab]) in ctx.graph._triples
+                ]
+                if others:
+                    ctx.warn(
+                        f"cannot mint a {row.mint} individual from {value!r}: "
+                        f"{local!r} is a minted {others[0]} individual, skipped"
+                    )
+                    continue
+                target = ctx.intern(key)
                 ctx.add(target, ctx.rdf_type, ctx.cls[row.mint])
                 ctx.warn(f"minted {row.mint} individual {local!r} for value {value!r}")
         else:
@@ -386,19 +395,21 @@ def _map_record_element(record: ET.Element, ctx: _DocumentContext) -> None:
             ctx.warn(f"unmapped element {tag or child.tag}")
 
 
-def map_record(document: ModsDocument, registry: VocabularyRegistry) -> MappingResult:
-    """Map every record of a parsed document into one fresh graph.
+def map_record(
+    document: ModsDocument, registry: VocabularyRegistry, graph: Optional[Graph] = None
+) -> MappingResult:
+    """Map every record of a parsed document into `graph`, or a fresh one.
 
     Nodes are minted as IRIs under the registry's base and the record ID
-    when the record carries one, otherwise as blank nodes. Equal
-    affiliation strings share one organization node across the whole
+    when the record carries one, otherwise as blank nodes new to the graph.
+    Equal affiliation strings share one organization node across the
     document. A child of a modsCollection that is not a record is warned
     about, in document order. Raises MappingError for a record ID that is
-    not valid IRI text or that an earlier record of the document already
-    carries (MODS types it xs:ID, unique per document).
+    not valid IRI text or that a record already in the graph carries (MODS
+    types it xs:ID); the records mapped before it stay in the graph.
     """
-    ctx = _DocumentContext(Graph(), registry)
-    record_ids: dict[str, None] = {}  # ordered, for MappingResult.record_ids
+    ctx = _DocumentContext(Graph() if graph is None else graph, registry)
+    record_ids: list[str] = []
     root = document.root
     for record in (root,) if local_name(root.tag) == "mods" else root:
         tag = local_name(record.tag)
@@ -410,9 +421,9 @@ def map_record(document: ModsDocument, registry: VocabularyRegistry) -> MappingR
             # The ID goes verbatim into the node IRIs, after the base.
             if _NOT_IRI_TEXT.search(record_id):
                 raise MappingError(f"invalid record ID {record_id!r}")
-            if record_id in record_ids:
+            if f"<{ctx.base_iri}{record_id}/item0>" in ctx.graph._ids:  # as mint writes it
                 raise MappingError(f"duplicate record ID {record_id!r}")
-            record_ids[record_id] = None
+            record_ids.append(record_id)
         ctx.start_record(record_id)
         _map_record_element(record, ctx)
-    return MappingResult(ctx.graph, ctx.warnings, list(record_ids))
+    return MappingResult(ctx.graph, ctx.warnings, record_ids)

@@ -13,8 +13,8 @@ import pytest
 
 import mmods
 from mmods.canonical import canonicalize
-from mmods.cli import _merge, main
-from mmods.graph import RDF_TYPE, BlankNode, Graph
+from mmods.cli import main
+from mmods.graph import RDF_TYPE, BlankNode, Graph, Iri
 from mmods.mapping import map_record
 from mmods.modsxml import parse_mods_xml
 from mmods.serialize import read_ntriples
@@ -171,13 +171,52 @@ class TestConvert:
         assert (code, out) == (1, "")
         assert err == f"error: {second}: duplicate record ID 'r1'\n"
 
-    def test_single_input_is_written_as_mapped(self):
-        graph = Graph().add(BlankNode("b0"), RDF_TYPE, BlankNode("b1"))
-        assert _merge([graph]) is graph
-        assert graph.triples() == [(BlankNode("b0"), RDF_TYPE, BlankNode("b1"))]
+    def test_duplicate_record_id_is_the_first_error_of_a_later_input(self, capsys, tmp_path):
+        # The later input is checked against the graph as it maps, record by
+        # record, so its first error in document order is the one reported.
+        first, second = tmp_path / "a.xml", tmp_path / "b.xml"
+        first.write_text('<mods ID="r1"/>')
+        second.write_text('<modsCollection><mods ID="r1"/><mods ID="a b"/></modsCollection>')
+        code, out, err = run(capsys, "convert", first, second, "--format", "nt")
+        assert (code, out) == (1, "")
+        assert err == f"error: {second}: duplicate record ID 'r1'\n"
+
+    @pytest.mark.parametrize(
+        "attribute, calendar_edges, warning",
+        [
+            pytest.param(
+                "encoding",
+                1,
+                "cannot mint a DateEncoding individual from 'edtf': "
+                "'Edtf' is a minted Calendar individual, skipped",
+                id="other-vocabulary",
+            ),
+            pytest.param(
+                "calendar", 2, "minted Calendar individual 'Edtf' for value 'edtf'", id="same-vocabulary"
+            ),
+        ],
+    )
+    def test_a_name_an_earlier_input_minted(self, capsys, tmp_path, attribute, calendar_edges, warning):
+        # The inputs map into one graph, so a later input sees the Calendar
+        # the first one minted: the same vocabulary reuses the node, another
+        # one does not type it a second time.
+        first, second = tmp_path / "a.xml", tmp_path / "b.xml"
+        first.write_text('<mods ID="r1"><dateIssued calendar="edtf">2020</dateIssued></mods>')
+        second.write_text(f'<mods ID="r2"><dateIssued {attribute}="edtf">2021</dateIssued></mods>')
+        code, out, err = run(capsys, "convert", first, second, "--format", "nt")
+        assert code == 0
+        reg = VocabularyRegistry()
+        graph = read_ntriples(out)
+        edtf = Iri(reg.base_iri + "Edtf")
+        assert graph.match(edtf, None, None) == [(edtf, RDF_TYPE, reg.cls("Calendar"))]
+        assert [t.p for t in graph.match(None, None, edtf)] == [reg.prop("hasAlternativeCalendar")] * calendar_edges
+        assert err.splitlines() == [
+            f"warning: {first}: record r1: minted Calendar individual 'Edtf' for value 'edtf'",
+            f"warning: {second}: record r2: {warning}",
+        ]
 
     def test_id_less_inputs_stay_disjoint(self, capsys, tmp_path):
-        # The later input is added into the first one's graph: its blank
+        # The later input is mapped into the first one's graph: its blank
         # nodes must get labels the first input does not use.
         record = FIXTURES / "conference.xml"
         graph = map_record(parse_mods_xml(record.read_bytes()), VocabularyRegistry()).graph

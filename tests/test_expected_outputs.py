@@ -2,11 +2,12 @@
 
 tests/fixtures/expected/ holds the stdout of `convert` (nt and ttl) and
 `validate --report json` on every XML fixture, and of `infer` (nt and ttl)
-on triangle.nt.  Every command on one input writes the same stderr (its
-warnings, or the error that stops it), held in stderr-<stem>.txt.  Commands
-run in the fixtures directory, so the paths in reports and messages are bare
-file names.  A change that alters output bytes on purpose regenerates the
-files, so the change shows in its diff:
+on triangle.nt, and of `convert` on two pairs of fixtures given together
+(convert-<first>+<second>.nt and .ttl).  Every command on the same inputs
+writes the same stderr (its warnings, or the error that stops it), held in
+stderr-<stem>.txt.  Commands run in the fixtures directory, so the paths in
+reports and messages are bare file names.  A change that alters output
+bytes on purpose regenerates the files, so the change shows in its diff:
 
     PYTHONPATH=src python tests/test_expected_outputs.py
 """
@@ -42,6 +43,12 @@ def _cases():
         code = 1 if failed else 3 if name in _INVALID else 0
         expected = None if failed else f"validate-{stem}.json"
         cases.append((["validate", name, "--report", "json"], code, expected, stderr))
+    # One pair whose records carry IDs, one whose records have none.
+    for first, second in (("personal", "dates"), ("conference", "twins")):
+        stem = f"{first}+{second}"
+        for fmt in ("nt", "ttl"):
+            argv = ["convert", f"{first}.xml", f"{second}.xml", "--format", fmt]
+            cases.append((argv, 0, f"convert-{stem}.{fmt}", f"stderr-{stem}.txt"))
     for fmt in ("nt", "ttl"):
         cases.append(
             (["infer", "triangle.nt", "--format", fmt], 0, f"infer-triangle.{fmt}", "stderr-triangle.txt")

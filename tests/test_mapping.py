@@ -6,7 +6,7 @@ import pytest
 
 from mmods.axioms import catalog
 from mmods.canonical import canonicalize
-from mmods.graph import RDF_TYPE, XSD_BOOLEAN, BlankNode, Iri, Literal, instances_of
+from mmods.graph import RDF_TYPE, XSD_BOOLEAN, BlankNode, Graph, Iri, Literal, instances_of
 from mmods.mapping import MappingError, map_record
 from mmods.modsxml import parse_mods_xml
 from mmods.validate import materialize, validate
@@ -554,6 +554,38 @@ class TestForeignNamespaces:
         assert result.record_ids == ["m1"]
         assert instances_of(result.graph, reg.cls("ModsItem")) == [Iri(reg.base_iri + "m1/item0")]
         assert not instances_of(result.graph, reg.cls("Agent"))
+
+
+class TestMappingIntoOneGraph:
+    @pytest.mark.parametrize(
+        "first, second",
+        [("personal", "dates"), ("conference", "twins"), ("conference", "conference")],
+    )
+    def test_two_documents_map_into_their_disjoint_union(self, reg, first, second):
+        graph = Graph()
+        union = Graph()
+        for tag, name in (("x", first), ("y", second)):
+            document = parse_mods_xml((FIXTURES / f"{name}.xml").read_bytes())
+            assert map_record(document, reg, graph).graph is graph
+            for triple in map_record(document, reg).graph:
+                union.add(*(BlankNode(tag + t.label) if isinstance(t, BlankNode) else t for t in triple))
+        assert canonicalize(graph) == canonicalize(union)
+
+    def test_record_id_repeated_across_calls_rejected(self, reg):
+        graph = map_record(parse_mods_xml('<mods ID="r1"/>'), reg).graph
+        later = parse_mods_xml('<modsCollection><mods ID="r0"/><mods ID="r1"/></modsCollection>')
+        with pytest.raises(MappingError, match="duplicate record ID 'r1'"):
+            map_record(later, reg, graph)
+        # The records mapped before the error stay in the graph.
+        assert instances_of(graph, reg.cls("ModsItem")) == [
+            Iri(reg.base_iri + "r0/item0"), Iri(reg.base_iri + "r1/item0")
+        ]
+
+    def test_mapping_builds_no_predicate_index(self, reg):
+        graph = Graph()
+        for name in FIXTURE_NAMES:
+            map_record(parse_mods_xml((FIXTURES / f"{name}.xml").read_bytes()), reg, graph)
+        assert graph._by_predicate is None
 
 
 class TestMappedGraphsValidate:
